@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -86,6 +87,21 @@ class RunConfig:
         )
 
 
+def _is_int(v: object) -> bool:
+    """JSON integer; ``true``/``false`` are not integers here."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def _is_finite(v: object) -> bool:
+    """Finite JSON number (``NaN``, ``Infinity`` and booleans rejected)."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        return False
+    try:
+        return math.isfinite(v)
+    except OverflowError:  # integer beyond the float range
+        return False
+
+
 def _coeff_list(raw: object, name: str) -> list[complex]:
     if not isinstance(raw, list):
         raise ConfigError(f"field '{name}' must be a list of [re, im] pairs")
@@ -94,16 +110,16 @@ def _coeff_list(raw: object, name: str) -> list[complex]:
         if (
             not isinstance(pair, (list, tuple))
             or len(pair) != 2
-            or not all(isinstance(v, (int, float)) for v in pair)
+            or not all(_is_finite(v) for v in pair)
         ):
-            raise ConfigError(f"field '{name}[{k}]' must be an [re, im] pair")
+            raise ConfigError(f"field '{name}[{k}]' must be an [re, im] pair of finite numbers")
         out.append(complex(pair[0], pair[1]))
     return out
 
 
 def _positive(value: object, name: str) -> float:
-    if not isinstance(value, (int, float)) or value <= 0:
-        raise ConfigError(f"field '{name}' must be a positive number")
+    if not _is_finite(value) or value <= 0:
+        raise ConfigError(f"field '{name}' must be a positive finite number")
     return float(value)
 
 
@@ -122,7 +138,7 @@ def parse_config(doc: dict) -> RunConfig:
         if (
             not isinstance(ladder, list)
             or not ladder
-            or not all(isinstance(n, int) and n >= 1 for n in ladder)
+            or not all(_is_int(n) and n >= 1 for n in ladder)
             or any(b <= a for a, b in zip(ladder, ladder[1:]))
         ):
             raise ConfigError("field 'ladder' must be a strictly increasing list of positive integers")
@@ -131,16 +147,16 @@ def parse_config(doc: dict) -> RunConfig:
         reg = doc["region"]
         keys = ("re_min", "re_max", "im_min", "im_max")
         if not isinstance(reg, dict) or not all(
-            isinstance(reg.get(k), (int, float)) for k in keys
+            _is_finite(reg.get(k)) for k in keys
         ):
-            raise ConfigError("field 'region' must contain numbers re_min, re_max, im_min, im_max")
+            raise ConfigError("field 'region' must contain finite numbers re_min, re_max, im_min, im_max")
         cfg.region = Rect(*(float(reg[k]) for k in keys))
         if cfg.region.is_empty():
             raise ConfigError("field 'region' is empty (min >= max)")
     if "grid" in doc:
         grid = doc["grid"]
         if not isinstance(grid, dict) or not all(
-            isinstance(grid.get(k), int) and grid.get(k) >= 2 for k in ("nx", "ny")
+            _is_int(grid.get(k)) and grid.get(k) >= 2 for k in ("nx", "ny")
         ):
             raise ConfigError("field 'grid' must contain integers nx, ny >= 2")
         cfg.nx, cfg.ny = grid["nx"], grid["ny"]
@@ -154,7 +170,7 @@ def parse_config(doc: dict) -> RunConfig:
             setattr(cfg, key, _positive(tols[key], f"tolerances.{key}"))
     if "curve_samples" in doc:
         cs = doc["curve_samples"]
-        if not isinstance(cs, int) or cs < 64:
+        if not _is_int(cs) or cs < 64:
             raise ConfigError("field 'curve_samples' must be an integer >= 64")
         cfg.curve_samples = cs
     if "section_kind" in doc:
@@ -164,7 +180,7 @@ def parse_config(doc: dict) -> RunConfig:
         cfg.section_kind = kind
     if "section_order" in doc:
         so = doc["section_order"]
-        if not isinstance(so, int) or so < 1:
+        if not _is_int(so) or so < 1:
             raise ConfigError("field 'section_order' must be a positive integer")
         cfg.section_order = so
     if "output_dir" in doc:
@@ -246,11 +262,13 @@ def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
             lam = complex(res[p], ims[q])
             sv = singular_values_jacobi(section.entries - lam * np.eye(order))[-1]
             worst = max(worst, abs(sv - fieldvals.sigma_min[q, p]))
-        print(f"svd check: max |jacobi - inverse iteration| = {_fmt(worst)}")
+        print(f"svd check: max |jacobi - lapack| = {_fmt(worst)}")
     return EXIT_OK
 
 
 def cmd_report(cfg: RunConfig) -> int:
+    if len(cfg.ladder) < 3:
+        raise ConfigError("field 'ladder' needs at least 3 rungs for report")
     report = build_report(cfg.symbol, cfg.report_options())
     _write_text(cfg.output_dir / "report.json", report.to_json() + "\n")
     print(report.summary())

@@ -1,10 +1,8 @@
-"""Self-contained dense complex linear algebra.
+"""Dense complex linear algebra.
 
-Implements Householder Hessenberg reduction, single-shift (Wilkinson)
-QR eigenvalue iteration with relative deflation, LU with partial pivoting,
-smallest-singular-value computation via shifted inverse iteration, and a
-slow one-sided Jacobi SVD used as a verification oracle.  NumPy is used for
-array storage and BLAS-level primitives only; the algorithms live here.
+Eigenvalues and the smallest singular value go through LAPACK as shipped
+with NumPy (``np.linalg.eigvals`` and ``np.linalg.svd``).  A slow one-sided
+Jacobi SVD is kept as an independent verification oracle.
 """
 
 from __future__ import annotations
@@ -13,12 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-_EPS = float(np.finfo(float).eps)
-
-
-class SingularMatrixError(ArithmeticError):
-    """An exactly zero pivot was met during elimination."""
 
 
 def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
@@ -30,31 +22,13 @@ def _as_square(a: np.ndarray, name: str = "matrix") -> np.ndarray:
     return a
 
 
-def hessenberg(a: np.ndarray) -> np.ndarray:
-    """Upper Hessenberg form unitarily similar to ``a`` (Householder)."""
-    h = _as_square(a).copy()
-    n = h.shape[0]
-    for k in range(n - 2):
-        x = h[k + 1 :, k]
-        norm_x = float(np.linalg.norm(x))
-        if norm_x == 0.0:
-            continue
-        v = x.copy()
-        phase = x[0] / abs(x[0]) if x[0] != 0 else 1.0
-        v[0] += phase * norm_x
-        vnorm = float(np.linalg.norm(v))
-        if vnorm == 0.0:
-            continue
-        v /= vnorm
-        # H <- P H P with P = I - 2 v v^H on the trailing block
-        h[k + 1 :, k:] -= 2.0 * np.outer(v, v.conj() @ h[k + 1 :, k:])
-        h[:, k + 1 :] -= 2.0 * np.outer(h[:, k + 1 :] @ v, v.conj())
-        h[k + 2 :, k] = 0.0
-    return h
-
-
 @dataclass(frozen=True)
 class EigenResult:
+    """Eigenvalues with a convergence flag.
+
+    ``sweeps`` is always 0: LAPACK does not report its iteration count.
+    """
+
     values: np.ndarray
     converged: bool
     sweeps: int
@@ -64,249 +38,25 @@ class EigenResult:
         self.values.setflags(write=False)
 
 
-def _givens(x: complex, y: complex) -> tuple[float, complex]:
-    """Rotation [[c, s], [-conj(s), c]] with real c zeroing y into x."""
-    ay = abs(y)
-    if ay == 0.0:
-        return 1.0, 0j
-    ax = abs(x)
-    if ax == 0.0:
-        return 0.0, y.conjugate() / ay
-    r = math.hypot(ax, ay)
-    return ax / r, (x / ax) * (y.conjugate() / r)
+def eigenvalues(a: np.ndarray) -> EigenResult:
+    """All eigenvalues via LAPACK (``np.linalg.eigvals``).
 
-
-def _eig2x2(a: complex, b: complex, c: complex, d: complex) -> tuple[complex, complex]:
-    """Eigenvalues of [[a, b], [c, d]], stable closed form."""
-    tr = a + d
-    det = a * d - b * c
-    disc = np.lib.scimath.sqrt((a - d) * (a - d) + 4.0 * b * c)
-    r1 = (tr + disc) / 2.0
-    r2 = (tr - disc) / 2.0
-    big = r1 if abs(r1) >= abs(r2) else r2
-    if big == 0:
-        return r1, r2
-    return big, det / big
-
-
-def _qr_step(h: np.ndarray, lo: int, hi: int, shift: complex) -> None:
-    """One implicit single-shift QR similarity sweep on the window [lo, hi]."""
-    x = h[lo, lo] - shift
-    y = h[lo + 1, lo]
-    for k in range(lo, hi):
-        c, s = _givens(x, y)
-        sc = s.conjugate()
-        c0 = max(lo, k - 1)
-        # rows k, k+1 across columns c0..hi
-        rk = h[k, c0 : hi + 1].copy()
-        rk1 = h[k + 1, c0 : hi + 1]
-        h[k, c0 : hi + 1] = c * rk + s * rk1
-        h[k + 1, c0 : hi + 1] = -sc * rk + c * rk1
-        # columns k, k+1 across rows lo..min(k+2, hi)
-        r1 = min(k + 2, hi)
-        ck = h[lo : r1 + 1, k].copy()
-        ck1 = h[lo : r1 + 1, k + 1]
-        h[lo : r1 + 1, k] = c * ck + sc * ck1
-        h[lo : r1 + 1, k + 1] = -s * ck + c * ck1
-        if k > lo:
-            h[k + 1, k - 1] = 0.0
-        if k + 2 <= hi:
-            x = h[k + 1, k]
-            y = h[k + 2, k]
-
-
-def eigenvalues(a: np.ndarray, max_sweeps: int = 40) -> EigenResult:
-    """All eigenvalues via shifted QR on the Hessenberg form.
-
-    Deflation uses the relative criterion
-    |h_{k+1,k}| <= eps (|h_{k,k}| + |h_{k+1,k+1}|).  Non-convergence within
-    ``max_sweeps * n`` total iterations is reported through
-    ``converged=False`` (remaining values fall back to diagonal entries),
-    never an exception.
+    LAPACK non-convergence is reported through ``converged=False`` with the
+    diagonal entries as values, never an exception.
     """
     a = _as_square(a)
-    n = a.shape[0]
-    if n == 1:
-        return EigenResult(values=np.array([a[0, 0]]), converged=True, sweeps=0)
-    h = hessenberg(a)
-    eigs = np.zeros(n, dtype=complex)
-    budget = max(1, int(max_sweeps)) * n
-    total = 0
-    stagnation = 0
-    hi = n - 1
-    converged = True
-    while hi >= 0:
-        if hi == 0:
-            eigs[0] = h[0, 0]
-            break
-        # locate the active window [lo, hi]
-        lo = hi
-        while lo > 0:
-            small = _EPS * (abs(h[lo - 1, lo - 1]) + abs(h[lo, lo]))
-            if abs(h[lo, lo - 1]) <= small:
-                h[lo, lo - 1] = 0.0
-                break
-            lo -= 1
-        if lo == hi:
-            eigs[hi] = h[hi, hi]
-            hi -= 1
-            stagnation = 0
-            continue
-        if lo == hi - 1:
-            e1, e2 = _eig2x2(h[lo, lo], h[lo, hi], h[hi, lo], h[hi, hi])
-            eigs[hi] = e1
-            eigs[lo] = e2
-            hi -= 2
-            stagnation = 0
-            continue
-        if total >= budget:
-            converged = False
-            eigs[: hi + 1] = np.diag(h)[: hi + 1]
-            break
-        if stagnation > 0 and stagnation % 10 == 0:
-            # exceptional shift to break rare cycles
-            shift = h[hi, hi] + 1.5 * abs(h[hi, hi - 1])
-        else:
-            e1, e2 = _eig2x2(h[hi - 1, hi - 1], h[hi - 1, hi], h[hi, hi - 1], h[hi, hi])
-            shift = e1 if abs(e1 - h[hi, hi]) <= abs(e2 - h[hi, hi]) else e2
-        _qr_step(h, lo, hi, shift)
-        total += 1
-        stagnation += 1
-    return EigenResult(values=eigs, converged=converged, sweeps=total)
-
-
-@dataclass(frozen=True)
-class LUFactors:
-    """Combined L\\U storage with LAPACK-style pivot indices."""
-
-    lu: np.ndarray
-    piv: np.ndarray
-
-    @property
-    def n(self) -> int:
-        return self.lu.shape[0]
-
-
-def lu_factor(a: np.ndarray) -> LUFactors:
-    """LU with partial pivoting: P A = L U.
-
-    Raises SingularMatrixError on an exactly zero pivot.
-    """
-    lu = _as_square(a).copy()
-    n = lu.shape[0]
-    piv = np.arange(n)
-    for k in range(n):
-        p = k + int(np.argmax(np.abs(lu[k:, k])))
-        if lu[p, k] == 0:
-            raise SingularMatrixError(f"zero pivot at column {k}")
-        if p != k:
-            lu[[k, p]] = lu[[p, k]]
-        piv[k] = p
-        lu[k + 1 :, k] /= lu[k, k]
-        if k + 1 < n:
-            lu[k + 1 :, k + 1 :] -= np.outer(lu[k + 1 :, k], lu[k, k + 1 :])
-    return LUFactors(lu=lu, piv=piv)
-
-
-def lu_det(fac: LUFactors) -> complex:
-    """Determinant from the factorization."""
-    d = complex(np.prod(np.diag(fac.lu)))
-    swaps = int(np.sum(fac.piv != np.arange(fac.n)))
-    return -d if swaps % 2 else d
-
-
-def lu_solve(fac: LUFactors, rhs: np.ndarray, conj_transpose: bool = False) -> np.ndarray:
-    """Solve A x = rhs, or A^H x = rhs when ``conj_transpose`` is set."""
-    lu, piv = fac.lu, fac.piv
-    n = fac.n
-    x = np.asarray(rhs, dtype=complex).copy()
-    if x.shape != (n,):
-        raise ValueError(f"rhs must have shape ({n},), got {x.shape}")
-    if not conj_transpose:
-        for k in range(n):
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-        for i in range(1, n):
-            x[i] -= np.dot(lu[i, :i], x[:i])
-        for i in range(n - 1, -1, -1):
-            if i + 1 < n:
-                x[i] -= np.dot(lu[i, i + 1 :], x[i + 1 :])
-            x[i] /= lu[i, i]
-    else:
-        # A^H = U^H L^H P: forward solve with U^H, back solve with L^H,
-        # then undo the row permutation.
-        for i in range(n):
-            if i > 0:
-                x[i] -= np.dot(lu[:i, i].conj(), x[:i])
-            x[i] /= lu[i, i].conjugate()
-        for i in range(n - 1, -1, -1):
-            if i + 1 < n:
-                x[i] -= np.dot(lu[i + 1 :, i].conj(), x[i + 1 :])
-        for k in range(n - 1, -1, -1):
-            p = piv[k]
-            if p != k:
-                x[k], x[p] = x[p], x[k]
-    return x
-
-
-def smallest_singular_value(
-    a: np.ndarray,
-    lam: complex = 0j,
-    rtol: float = 1e-10,
-    max_iter: int = 250,
-) -> float:
-    """sigma_min(A - lam I) by inverse iteration on the normal equations.
-
-    Each step solves with A - lam I and then with its conjugate transpose,
-    reusing one LU factorization.  Exact singularity maps to 0.
-    """
-    a = _as_square(a)
-    n = a.shape[0]
-    b = a - complex(lam) * np.eye(n)
     try:
-        fac = lu_factor(b)
-    except SingularMatrixError:
-        return 0.0
-    rng = np.random.default_rng(0x5EED_517)
-    x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    x /= np.linalg.norm(x)
-    # mu_k = ||z_k|| estimates the top eigenvalue of (B^H B)^{-1} and
-    # converges geometrically from below; Aitken extrapolation removes the
-    # dominant mode so clustered singular values do not stall the loop.
-    mu_hist: list[float] = []
-    sigma = math.inf
-    for _ in range(max_iter):
-        y = lu_solve(fac, x)
-        z = lu_solve(fac, y, conj_transpose=True)
-        mu = float(np.linalg.norm(z))
-        if not math.isfinite(mu):
-            return 0.0
-        if mu == 0.0:
-            # x annihilated numerically; restart with a fresh direction
-            x = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-            x /= np.linalg.norm(x)
-            continue
-        x = z / mu
-        mu_hist.append(mu)
-        mu_best = mu
-        if len(mu_hist) >= 3:
-            d1 = mu_hist[-2] - mu_hist[-3]
-            d2 = mu_hist[-1] - mu_hist[-2]
-            if d2 <= 0.0 or d2 <= rtol * mu:
-                # increments at the noise floor: mu has converged
-                return 1.0 / math.sqrt(mu)
-            denom = d1 - d2
-            if d2 < d1 and denom > 0:
-                corr = d2 * d2 / denom
-                mu_best = mu + corr
-                if corr <= 2.0 * rtol * mu:
-                    return 1.0 / math.sqrt(mu_best)
-        new_sigma = 1.0 / math.sqrt(mu_best)
-        if math.isfinite(sigma) and abs(new_sigma - sigma) <= rtol * max(new_sigma, 1e-300):
-            return new_sigma
-        sigma = new_sigma
-    return sigma
+        values = np.linalg.eigvals(a)
+    except np.linalg.LinAlgError:
+        return EigenResult(values=np.diag(a), converged=False, sweeps=0)
+    return EigenResult(values=values, converged=True, sweeps=0)
+
+
+def smallest_singular_value(a: np.ndarray, lam: complex = 0j) -> float:
+    """sigma_min(A - lam I) via LAPACK (``np.linalg.svd``)."""
+    a = _as_square(a)
+    b = a - complex(lam) * np.eye(a.shape[0])
+    return float(np.linalg.svd(b, compute_uv=False)[-1])
 
 
 def singular_values_jacobi(

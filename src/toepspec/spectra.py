@@ -107,7 +107,6 @@ class DetectOptions:
     drift_tol: float | None = None
     cert_tol: float | None = None
     curve_samples: int | None = None
-    max_sweeps: int = 40
 
 
 @dataclass(frozen=True)
@@ -202,7 +201,7 @@ def detect_discrete(
         section = bt_section(s, n)
         if n == n_max:
             top_section = section
-        res = eigenvalues(section.entries, max_sweeps=opts.max_sweeps)
+        res = eigenvalues(section.entries)
         if not res.converged:
             skipped.append(n)
             continue

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import cmath
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
@@ -22,6 +23,8 @@ ON_CURVE_RTOL = 1e-12
 TAU_CUSP = 1e-6
 # Relative tolerance for the segment-segment self-intersection test.
 SELF_INTERSECT_RTOL = 1e-9
+# Coefficients below this modulus have a subnormal or zero square.
+_SQRT_TINY = math.sqrt(sys.float_info.min)
 
 
 class OnCurveError(ValueError):
@@ -37,6 +40,10 @@ class HarmonicSymbol:
     """Trigonometric-polynomial harmonic symbol, immutable after construction.
 
     ``coeffs`` maps j -> b_j; entries outside [-m, n] are absent and read as 0.
+    A coefficient whose squared modulus underflows (falls below the smallest
+    normal double, i.e. |b_j| < 1.5e-154) is dropped like an exact zero, so
+    ``derivative_norm_sq`` and ``hs_bound`` vanish exactly when the symbol is
+    constant.
     """
 
     coeffs: Mapping[int, complex]
@@ -44,7 +51,12 @@ class HarmonicSymbol:
     n: int = field(init=False)
 
     def __post_init__(self) -> None:
-        clean = {int(j): complex(v) for j, v in self.coeffs.items() if v != 0}
+        clean = {
+            int(j): complex(v)
+            for j, v in self.coeffs.items()
+            # written as "not <" so a NaN coefficient is kept, not dropped
+            if not abs(complex(v)) < _SQRT_TINY
+        }
         object.__setattr__(self, "coeffs", clean)
         neg = [-j for j in clean if j < 0]
         pos = [j for j in clean if j > 0]

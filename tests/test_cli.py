@@ -17,6 +17,15 @@ BASE = {
 }
 
 
+# Parsed by Python's json module without complaint, rejected by the config.
+NONFINITE_OR_BOOL = [
+    {"symbol": {"f": [[float("nan"), 0]]}},
+    {"symbol": {"f": [[1, 0]]}, "epsilon": float("inf")},
+    {"symbol": {"f": [[1, 0]]}, "tolerances": {"series_tol": float("nan")}},
+    {"symbol": {"f": [[1, 0]]}, "ladder": [True, 20, 40]},
+]
+
+
 class TestConfigParsing:
     def test_minimal(self):
         cfg = cli.parse_config({"symbol": {"f": [[0, 0], [1, 0]]}})
@@ -54,6 +63,7 @@ class TestConfigParsing:
             {"symbol": {"f": []}, "section_kind": "other"},
             {"symbol": {"f": []}, "curve_samples": 10},
             {"symbol": {"f": []}, "region": {"re_min": 1, "re_max": 0, "im_min": 0, "im_max": 1}},
+            *NONFINITE_OR_BOOL,
         ],
     )
     def test_rejects_malformed(self, doc):
@@ -73,6 +83,22 @@ class TestExitCodes:
     def test_unknown_command(self, tmp_path):
         path = write_config(tmp_path, BASE)
         assert cli.main(["frobnicate", "--config", path]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["hs-check", "report"])
+    @pytest.mark.parametrize("doc", NONFINITE_OR_BOOL)
+    def test_nonfinite_or_bool_config(self, tmp_path, command, doc):
+        path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+
+    def test_report_needs_three_rungs(self, tmp_path):
+        path = write_config(tmp_path, dict(BASE, ladder=[20, 40], output_dir=str(tmp_path)))
+        assert cli.main(["report", "--config", path]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["spectrum", "report"])
+    def test_eigensolver_failure(self, tmp_path, eigvals_fails_at, command):
+        eigvals_fails_at(40)
+        path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_NO_CONVERGENCE
 
     def test_pseudospectrum_without_region(self, tmp_path):
         path = write_config(tmp_path, BASE)

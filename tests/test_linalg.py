@@ -4,40 +4,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from toepspec.linalg import (
-    SingularMatrixError,
-    eigenvalues,
-    hessenberg,
-    lu_det,
-    lu_factor,
-    lu_solve,
-    singular_values_jacobi,
-    smallest_singular_value,
-)
+from toepspec.linalg import eigenvalues, singular_values_jacobi, smallest_singular_value
 from oracles import charpoly_roots, match_distance
 
 
 def random_complex(rng, n, scale=1.0):
     return scale * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
-
-
-class TestHessenberg:
-    def test_structure(self):
-        rng = np.random.default_rng(1)
-        h = hessenberg(random_complex(rng, 12))
-        below = np.tril(h, -2)
-        assert np.max(np.abs(below)) == 0
-
-    def test_eigenvalues_preserved(self):
-        rng = np.random.default_rng(2)
-        a = random_complex(rng, 10)
-        got = sorted(eigenvalues(hessenberg(a)).values, key=lambda z: (z.real, z.imag))
-        want = sorted(eigenvalues(a).values, key=lambda z: (z.real, z.imag))
-        assert match_distance(got, want) < 1e-9
-
-    def test_small_sizes_passthrough(self):
-        a = np.array([[1 + 2j]])
-        assert np.array_equal(hessenberg(a), a)
 
 
 class TestEigenvalues:
@@ -88,33 +60,6 @@ class TestEigenvalues:
             eigenvalues(a)
 
 
-class TestLU:
-    def test_solve_residual(self):
-        rng = np.random.default_rng(5)
-        a = random_complex(rng, 20)
-        b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
-        x = lu_solve(lu_factor(a), b)
-        assert np.linalg.norm(a @ x - b) < 1e-10 * np.linalg.norm(b)
-
-    def test_conj_transpose_solve(self):
-        rng = np.random.default_rng(6)
-        a = random_complex(rng, 15)
-        b = rng.standard_normal(15) + 1j * rng.standard_normal(15)
-        x = lu_solve(lu_factor(a), b, conj_transpose=True)
-        assert np.linalg.norm(a.conj().T @ x - b) < 1e-10 * np.linalg.norm(b)
-
-    def test_determinant(self):
-        rng = np.random.default_rng(7)
-        a = random_complex(rng, 8)
-        assert lu_det(lu_factor(a)) == pytest.approx(np.linalg.det(a), rel=1e-10)
-
-    def test_singular_raises(self):
-        a = np.zeros((3, 3), dtype=complex)
-        a[0, 0] = 1
-        with pytest.raises(SingularMatrixError):
-            lu_factor(a)
-
-
 class TestSmallestSingularValue:
     def test_vs_jacobi(self):
         rng = np.random.default_rng(8)
@@ -124,6 +69,16 @@ class TestSmallestSingularValue:
             want = min(singular_values_jacobi(a - lam * np.eye(n)))
             got = smallest_singular_value(a, lam)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
+
+    def test_ellipse_bt_section_vs_jacobi(self):
+        # BT section of the ellipse config (f = z, g = 0.5 z) at N = 80 and a
+        # node of an 8 x 6 grid over its region, where sigma_min ~ 1.2
+        s = ts.from_parts([0, 1], [0, 0.5])
+        a = ts.bt_section(s, 80).entries
+        lam = complex(10 / 7, -1.5)
+        want = singular_values_jacobi(a - lam * np.eye(80))[-1]
+        assert want == pytest.approx(1.2126, rel=1e-4)
+        assert smallest_singular_value(a, lam) == pytest.approx(want, rel=1e-10)
 
     def test_exact_eigenvalue_returns_zero(self):
         a = np.diag([1.0, 2.0, 3.0]).astype(complex)

@@ -79,6 +79,12 @@ class TestDetectDiscrete:
         assert isinstance(res.curve, ts.SymbolCurve)
         assert res.skipped_rungs == ()
 
+    def test_unconverged_rung_is_skipped(self, eigvals_fails_at):
+        eigvals_fails_at(120)
+        res = ts.detect_discrete(ts.HarmonicSymbol({1: 1}), ladder=SMALL_LADDER)
+        assert res.skipped_rungs == (120,)
+        assert len(res) == 0 and res.uncertified == ()
+
 
 class TestClassify:
     def test_interior_of_circle_is_winding_region(self):

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
@@ -178,6 +178,7 @@ class TestInvariants:
             assert len(winds) == 1
 
     @given(complex_coeffs(3), complex_coeffs(3))
+    @example(f=[], g=[0j, 6.382350372533106e-301 + 0j])
     @settings(max_examples=40, deadline=None)
     def test_derivative_zero_iff_constant(self, f, g):
         s = ts.from_parts(f, g)
