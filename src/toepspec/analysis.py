@@ -78,21 +78,27 @@ def weyl_diagnostic(
     N: int,
     delta: float | None = None,
     curve: SymbolCurve | None = None,
-) -> float:
+) -> float | None:
     """Fraction of Bergman-section eigenvalues inside or near the filled
-    spectrum; a coarse accumulation indicator expected to approach 1."""
+    spectrum; a coarse accumulation indicator expected to approach 1.
+
+    None when the eigensolver does not converge at order N.
+    """
     N = int(N)
     if N < 16:
         raise ValueError(f"need N >= 16, got {N}")
     if delta is None:
         delta = 0.1 * s.wiener_norm()
-    ev = eigenvalues(bt_section(s, N).entries).values
+    res = eigenvalues(bt_section(s, N).entries)
+    if not res.converged:
+        return None
+    ev = res.values
     if s.is_constant:
         # degenerate one-point curve: compare against b_0 directly
         b0 = s[0]
         return float(np.mean(np.abs(ev - b0) <= delta))
     if curve is None:
-        curve = sample_curve(s, max(256, 16 * (s.m + s.n + 1)))
+        curve = sample_curve(s)
     inside = 0
     for lam in ev:
         if curve.distance_to(complex(lam)) <= delta:
@@ -103,21 +109,26 @@ def weyl_diagnostic(
     return inside / len(ev)
 
 
+# Resolvent-fit sample count and spectrum-distance range (times the Wiener norm).
+FIT_POINTS = 16
+FIT_DIST_RANGE = (0.05, 0.5)
+
+
 @dataclass(frozen=True)
 class ReportOptions:
     ladder: tuple[int, ...] = DEFAULT_LADDER
     epsilon: float = 0.01
     series_tol: float = 1e-8
-    curve_samples: int | None = None
     detect: DetectOptions = DetectOptions()
-    fit_points: int = 16
-    fit_dist_range: tuple[float, float] = (0.05, 0.5)
     fit_order: int | None = None
     weyl_order: int | None = None
 
 
 @dataclass(frozen=True)
 class SpectralReport:
+    """``skipped_rungs``: section orders whose eigensolve did not converge,
+    ladder rungs and the Weyl order (``weyl_fraction`` is then None)."""
+
     symbol_coeffs: dict[int, complex]
     derivative_norm_sq: float
     wiener_norm: float
@@ -221,8 +232,8 @@ def _fit_p_hat(
     w = s.wiener_norm()
     if w == 0 or s.is_constant:
         return None, None
-    lo, hi = opts.fit_dist_range
-    dists = np.linspace(lo * w, hi * w, opts.fit_points)
+    lo, hi = FIT_DIST_RANGE
+    dists = np.linspace(lo * w, hi * w, FIT_POINTS)
     try:
         pts = points_at_distance(curve, dists)
         order = opts.fit_order if opts.fit_order is not None else min(400, n_max)
@@ -258,6 +269,9 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
 
     weyl_n = opts.weyl_order if opts.weyl_order is not None else min(200, n_max)
     weyl = weyl_diagnostic(s, weyl_n, curve=curve) if weyl_n >= 16 else None
+    skipped = set(detection.skipped_rungs)
+    if weyl is None and weyl_n >= 16:
+        skipped.add(weyl_n)
 
     second_deriv_sum = float(sum(j * j * abs(v) for j, v in s.coeffs.items()))
     m_curve = len(curve)
@@ -273,7 +287,7 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
         hs_bound=bound,
         candidates=detection.candidates,
         uncertified_candidates=detection.uncertified,
-        skipped_rungs=detection.skipped_rungs,
+        skipped_rungs=tuple(sorted(skipped)),
         lt_sum=total,
         lt_sum_certified_only=certified_only,
         epsilon=opts.epsilon,

@@ -82,7 +82,6 @@ class RunConfig:
             ladder=tuple(self.ladder),
             epsilon=self.epsilon,
             series_tol=self.series_tol,
-            curve_samples=self.curve_samples,
             detect=self.detect_options(),
         )
 
@@ -132,6 +131,8 @@ def parse_config(doc: dict) -> RunConfig:
     f = _coeff_list(sym.get("f", []), "symbol.f")
     g = _coeff_list(sym.get("g", []), "symbol.g")
     cfg = RunConfig(symbol=from_parts(f, g))
+    if not math.isfinite(cfg.symbol.derivative_norm_sq()):
+        raise ConfigError("field 'symbol' is too large: ||phi'||_2^2 is not a finite double")
 
     if "ladder" in doc:
         ladder = doc["ladder"]
@@ -273,13 +274,13 @@ def cmd_report(cfg: RunConfig) -> int:
     _write_text(cfg.output_dir / "report.json", report.to_json() + "\n")
     print(report.summary())
     print(f"wrote {cfg.output_dir / 'report.json'}")
+    for n in report.skipped_rungs:
+        print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
     return EXIT_NO_CONVERGENCE if report.skipped_rungs else EXIT_OK
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    s = cfg.symbol
-    m = cfg.curve_samples or max(256, 16 * (s.m + s.n + 1))
-    curve = sample_curve(s, m)
+    curve = sample_curve(cfg.symbol, cfg.curve_samples)
     lines = ["theta,re,im,tangent_re,tangent_im"]
     for k in range(len(curve)):
         theta = 2.0 * np.pi * k / len(curve)
@@ -289,7 +290,7 @@ def cmd_curve(cfg: RunConfig) -> int:
             f"{_fmt(theta)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(t.real)},{_fmt(t.imag)}"
         )
     _write_text(cfg.output_dir / "curve.csv", "\n".join(lines) + "\n")
-    print(f"wrote {cfg.output_dir / 'curve.csv'} ({m} samples)")
+    print(f"wrote {cfg.output_dir / 'curve.csv'} ({len(curve)} samples)")
     try:
         diag = curve_diagnostics(curve)
     except DegenerateCurveError:

@@ -93,14 +93,21 @@ def bt_section(s: HarmonicSymbol, N: int) -> FiniteSection:
 
 
 def hs_difference_sq_truncated(s: HarmonicSymbol, N: int) -> float:
-    """Frobenius sum sum_{0<=i,j<N} |tau_{i,j} - b_{i-j}|^2."""
+    """Frobenius sum sum_{0<=i,j<N} |tau_{i,j} - b_{i-j}|^2, one diagonal per
+    coefficient: offset j carries the weights sqrt((k+1)/(k+|j|+1)), k < N-|j|.
+    """
     N = int(N)
     if N < 1:
         raise ValueError(f"section order must be >= 1, got {N}")
-    c = np.abs(_coeff_by_offset(s, N)) ** 2
-    mag_sq = c[_offset_matrix(N) + N - 1]
-    w = _bt_weights(N)
-    return float(np.sum(mag_sq * (1.0 - w) ** 2))
+    total = 0.0
+    for j, v in s.coeffs.items():
+        L = abs(j)
+        if L == 0 or L >= N:
+            continue
+        k = np.arange(1, N - L + 1, dtype=float)
+        w = np.sqrt(k / (k + L))
+        total += abs(v) * abs(v) * float(np.sum((1.0 - w) ** 2))
+    return total
 
 
 @dataclass(frozen=True)
@@ -142,12 +149,10 @@ def hs_difference_sq_series(s: HarmonicSymbol, tol: float) -> SeriesResult:
     """
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol}")
-    weights = {
-        abs(j): 0.0 for j in s.coeffs if j != 0
-    }
+    weights: dict[int, float] = {}
     for j, v in s.coeffs.items():
         if j != 0:
-            weights[abs(j)] += j * j * abs(v) ** 2
+            weights[abs(j)] = weights.get(abs(j), 0.0) + j * j * (abs(v) * abs(v))
     total_weight = sum(weights.values())
     if total_weight == 0.0:
         return SeriesResult(value=0.0, tail_bound=0.0)

@@ -19,7 +19,8 @@ import numpy as np
 
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
-from .symbols import HarmonicSymbol, SymbolCurve, sample_curve, winding_number
+from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve, winding_number
+from .symbols import _segment_distances
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -128,7 +129,7 @@ class DetectionResult(Sequence):
 
 def _resolve_options(
     s: HarmonicSymbol, opts: DetectOptions, n_max: int
-) -> tuple[float, float, float, int]:
+) -> tuple[float, float, float]:
     w = s.wiener_norm()
     delta_curve = opts.delta_curve if opts.delta_curve is not None else 0.05 * w
     drift_tol = opts.drift_tol if opts.drift_tol is not None else 1e-3 * w
@@ -136,12 +137,7 @@ def _resolve_options(
         cert_tol = opts.cert_tol
     else:
         cert_tol = 1e-6 * bt_section(s, n_max).frobenius_norm()
-    m_curve = (
-        opts.curve_samples
-        if opts.curve_samples is not None
-        else max(256, 16 * (s.m + s.n + 1))
-    )
-    return delta_curve, drift_tol, cert_tol, m_curve
+    return delta_curve, drift_tol, cert_tol
 
 
 def _chain_ladder(
@@ -191,8 +187,8 @@ def detect_discrete(
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly increasing with length >= 3")
     n_max = ladder[-1]
-    delta_curve, drift_tol, cert_tol, m_curve = _resolve_options(s, opts, n_max)
-    curve = sample_curve(s, m_curve)
+    delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, n_max)
+    curve = sample_curve(s, opts.curve_samples)
 
     rung_eigs: list[np.ndarray] = []
     skipped: list[int] = []
@@ -238,29 +234,16 @@ def detect_discrete(
     )
 
 
-def _segment_hits_curve(a: complex, b: complex, curve: SymbolCurve, tol: float) -> bool:
-    """Whether the segment a -> b passes within ``tol`` of the polyline."""
-    p = curve.points
-    q = np.roll(p, -1)
-    # coarse sampling of the probe segment against the curve polyline
-    n_probe = 4 * len(p)
-    ts = np.linspace(0.0, 1.0, n_probe)
-    probes = a + ts * (b - a)
-    step = abs(b - a) / (n_probe - 1)
-    for z in probes:
-        if curve.distance_to(complex(z)) <= tol + 0.5 * step:
-            return True
-    return False
-
-
 def classify(
     lam: complex, curve: SymbolCurve, delta_curve: float
 ) -> Component:
     """Classify a point against the symbol curve and its complement.
 
     nearEssential within delta_curve of the curve; F0 when winding is zero
-    and a straight ray escapes to a radius beyond the curve without touching
-    it (for Jordan curves winding zero alone suffices); boundedHole else.
+    and one of 16 straight rays escapes to a radius beyond the curve while
+    staying farther than delta_curve / 4 from it, measured exactly segment
+    to segment (for Jordan curves winding zero alone suffices); boundedHole
+    else.
     """
     lam = complex(lam)
     d = curve.distance_to(lam)
@@ -273,15 +256,15 @@ def classify(
     centroid = complex(np.mean(curve.points))
     base = lam - centroid
     base_angle = cmath.phase(base) if base != 0 else 0.0
+    a = curve.points
+    b = np.roll(a, -1)
     for k in range(16):
         angle = base_angle + 2.0 * math.pi * k / 16.0
         target = lam + escape_radius * complex(math.cos(angle), math.sin(angle))
-        if not _segment_hits_curve(lam, target, curve, 0.25 * delta_curve):
+        if np.min(_segment_distances(lam, target, a, b)) > 0.25 * delta_curve:
             return Component.F0
     # every probe ray grazed the curve: fall back on winding for Jordan-like
     # curves, otherwise treat as a bounded winding-zero pocket
-    from .symbols import curve_diagnostics
-
     try:
         if curve_diagnostics(curve).jordan:
             return Component.F0
@@ -314,7 +297,7 @@ def resolvent_growth_fit(
     if len(pts) < 8:
         raise ValueError(f"need at least 8 sample points, got {len(pts)}")
     if curve is None:
-        curve = sample_curve(s, max(256, 16 * (s.m + s.n + 1)))
+        curve = sample_curve(s)
     section = ht_section(s, N)
     log_d = []
     log_rnorm = []

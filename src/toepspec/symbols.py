@@ -108,7 +108,7 @@ class HarmonicSymbol:
 
     def derivative_norm_sq(self) -> float:
         """||phi'||_2^2 = sum_l l^2 |b_l|^2 (probability Haar measure)."""
-        return float(sum(j * j * abs(v) ** 2 for j, v in self.coeffs.items()))
+        return float(sum(j * j * (abs(v) * abs(v)) for j, v in self.coeffs.items() if j))
 
     def wiener_norm(self) -> float:
         """sum_j |b_j|, the absolutely-convergent-series norm."""
@@ -166,33 +166,56 @@ class SymbolCurve:
     def distance_to(self, lam: complex) -> float:
         """Distance from ``lam`` to the sampled closed polyline."""
         p = self.points
-        a = p
-        b = np.roll(p, -1)
-        return float(np.min(_point_segment_distances(complex(lam), a, b)))
+        return float(np.min(_point_segment_distances(complex(lam), p, np.roll(p, -1))))
 
 
-def _point_segment_distances(
-    lam: complex, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Distances from a point to each segment a[k] -> b[k], closed form."""
+def _point_segment_distances(lam, a, b) -> np.ndarray:
+    """Distances from points ``lam`` to segments a -> b, closed form.
+
+    Broadcasts: one point against many segments, or many points against one.
+    """
     d = b - a
-    denom = (d.real**2 + d.imag**2)
+    denom = d.real * d.real + d.imag * d.imag
     w = lam - a
-    t = np.zeros_like(denom)
-    nz = denom > 0
-    t[nz] = (w.real[nz] * d.real[nz] + w.imag[nz] * d.imag[nz]) / denom[nz]
-    t = np.clip(t, 0.0, 1.0)
-    closest = a + t * d
+    dot = w.real * d.real + w.imag * d.imag
+    t = np.divide(dot, denom, out=np.zeros_like(dot), where=denom > 0)
+    closest = a + np.clip(t, 0.0, 1.0) * d
     return np.abs(lam - closest)
 
 
-def sample_curve(s: HarmonicSymbol, M: int) -> SymbolCurve:
+def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return u.real * v.imag - u.imag * v.real
+
+
+def _segment_distances(
+    p: complex, q: complex, a: np.ndarray, b: np.ndarray
+) -> np.ndarray:
+    """Exact distances from the segment [p, q] to each segment [a_k, b_k].
+
+    Two segments that do not cross attain their distance at an endpoint of
+    one of them, so the minimum of the four endpoint-to-segment distances is
+    exact; a proper crossing gives 0.
+    """
+    p, q = complex(p), complex(q)
+    d = np.minimum(
+        np.minimum(_point_segment_distances(p, a, b), _point_segment_distances(q, a, b)),
+        np.minimum(_point_segment_distances(a, p, q), _point_segment_distances(b, p, q)),
+    )
+    o1 = _cross2(q - p, a - p)
+    o2 = _cross2(q - p, b - p)
+    o3 = _cross2(b - a, p - a)
+    o4 = _cross2(b - a, q - a)
+    d[(o1 * o2 < 0) & (o3 * o4 < 0)] = 0.0
+    return d
+
+
+def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     """Sample gamma = phi(T) at M uniform angles with analytic tangents.
 
     Requires M >= 64 and M >= 16 (m + n + 1) so the polyline resolves the
-    highest frequency present.
+    highest frequency present; M defaults to max(256, 16 (m + n + 1)).
     """
-    M = int(M)
+    M = max(256, 16 * (s.m + s.n + 1)) if M is None else int(M)
     min_m = max(64, 16 * (s.m + s.n + 1))
     if M < min_m:
         raise ValueError(f"M = {M} too small; need M >= {min_m}")
@@ -227,54 +250,14 @@ class CurveDiagnostics:
     min_self_distance: float
 
 
-def _segment_pair_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Pairwise distance matrix between closed-polyline segments.
-
-    Entry (k, l) is the distance between segment k = [a_k, b_k] and segment
-    l = [a_l, b_l].  Approximated by the minimum of the four endpoint-to-
-    segment distances plus a proper crossing test; exact whenever segments
-    either touch, cross, or attain their distance at an endpoint (always the
-    case for non-parallel segments).
-    """
-    M = len(a)
-    d = np.full((M, M), np.inf)
-    # distance from each endpoint of segment k to segment l
-    for ends in (a, b):
-        for k in range(M):
-            d[k] = np.minimum(d[k], _point_segment_distances(complex(ends[k]), a, b))
-    dT = d.T
-    d = np.minimum(d, dT)
-    # proper crossings: distance 0
-    cross = _segments_cross(a, b)
-    d[cross] = 0.0
-    return d
-
-
-def _segments_cross(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Boolean matrix of proper interior crossings between segments."""
-    d1 = b - a
-    # orientation of (a_l, b_l) w.r.t. segment k: cross products
-    def cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
-        return u.real * v.imag - u.imag * v.real
-
-    ak = a[:, None]
-    dk = d1[:, None]
-    al = a[None, :]
-    bl = b[None, :]
-    o1 = cross2(dk, al - ak)
-    o2 = cross2(dk, bl - ak)
-    dl = d1[None, :]
-    o3 = cross2(dl, ak - al)
-    o4 = cross2(dl, (ak + dk) - al)
-    return (o1 * o2 < 0) & (o3 * o4 < 0)
-
-
 def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     """Jordan / cusp-free diagnostics of the sampled curve.
 
     cusp_free: min |tangent| > TAU_CUSP * max |tangent|.
     jordan: no two non-adjacent polyline segments come within
-    SELF_INTERSECT_RTOL * scale of each other (O(M^2) pair test).
+    SELF_INTERSECT_RTOL * scale of each other.  The pair test runs one
+    segment against the later ones at a time and stops at the first zero
+    distance: O(M^2) time, O(M) memory.
     """
     p = c.points
     if np.all(p == p[0]):
@@ -287,13 +270,14 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     a = p
     b = np.roll(p, -1)
     M = len(p)
-    d = _segment_pair_distances(a, b)
-    # mask self and adjacent pairs (shared endpoints, cyclically)
-    idx = np.arange(M)
-    diff = np.abs(idx[:, None] - idx[None, :])
-    adjacent = (diff <= 1) | (diff >= M - 1)
-    d[adjacent] = np.inf
-    min_self = float(np.min(d))
+    row_min = []
+    # segment k against l >= k + 2, skipping the cyclic neighbour M - 1 of 0
+    for k in range(M - 2):
+        stop = M - 1 if k == 0 else M
+        row_min.append(np.min(_segment_distances(a[k], b[k], a[k + 2 : stop], b[k + 2 : stop])))
+        if row_min[-1] == 0.0:
+            break
+    min_self = float(np.min(row_min))
     tol = SELF_INTERSECT_RTOL * c.scale()
     jordan = min_self > tol
     return CurveDiagnostics(

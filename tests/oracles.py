@@ -66,3 +66,37 @@ def random_symbol(rng: np.random.Generator, max_deg: int = 6, amp: float = 0.9):
     f = [amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2) for _ in range(n + 1)]
     g = [amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2) for _ in range(m + 1)]
     return from_parts(f, g)
+
+
+def min_self_distance(points) -> float:
+    """Minimum distance between non-adjacent segments of a closed polyline.
+
+    Dense M x M evaluation: every endpoint against every segment in both
+    directions, then 0 wherever two segments cross properly, then the
+    minimum over pairs that share no vertex (cyclically).
+    """
+    a = np.asarray(points, dtype=complex)
+    b = np.roll(a, -1)
+    M = len(a)
+    d = (b - a)[None, :]
+    denom = d.real * d.real + d.imag * d.imag
+    safe = np.where(denom > 0, denom, 1.0)
+
+    def to_segments(z):
+        w = z[:, None] - a[None, :]
+        t = np.where(denom > 0, (w.real * d.real + w.imag * d.imag) / safe, 0.0)
+        return np.abs(z[:, None] - (a[None, :] + np.clip(t, 0.0, 1.0) * d))
+
+    dist = np.minimum(to_segments(a), to_segments(b))
+    dist = np.minimum(dist, dist.T)
+
+    def side(p, q, r):
+        u, v = q - p, r - p
+        return np.sign(u.real * v.imag - u.imag * v.real)
+
+    ak, bk, al, bl = a[:, None], b[:, None], a[None, :], b[None, :]
+    cross = (side(ak, bk, al) * side(ak, bk, bl) < 0) & (side(al, bl, ak) * side(al, bl, bk) < 0)
+    dist[cross] = 0.0
+    gap = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
+    dist[(gap <= 1) | (gap >= M - 1)] = np.inf
+    return float(np.min(dist))

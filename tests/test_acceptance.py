@@ -168,10 +168,8 @@ def test_criterion_7_detection_pipeline():
         for coeffs in MIXED_SYMBOLS:
             s = ts.HarmonicSymbol(coeffs)
             opts = ts.DetectOptions()
-            delta, drift_tol, cert_tol, m_curve = _resolve_options(
-                s, opts, ladder[-1]
-            )
-            curve = ts.sample_curve(s, m_curve)
+            delta, drift_tol, cert_tol = _resolve_options(s, opts, ladder[-1])
+            curve = ts.sample_curve(s, opts.curve_samples)
             sections = {n: ts.bt_section(s, n) for n in ladder}
             rungs = []
             for n in ladder:

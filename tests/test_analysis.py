@@ -67,6 +67,19 @@ class TestWeylDiagnostic:
         with pytest.raises(ValueError):
             ts.weyl_diagnostic(ts.HarmonicSymbol({1: 1}), 8)
 
+    def test_unconverged_eigensolve_gives_none(self, eigvals_fails_at):
+        eigvals_fails_at(40)
+        assert ts.weyl_diagnostic(ts.HarmonicSymbol({1: 1, -1: 0.5}), 40) is None
+
+    def test_report_skips_unconverged_weyl_order(self, eigvals_fails_at):
+        eigvals_fails_at(60)
+        opts = ts.ReportOptions(ladder=(20, 40, 80), weyl_order=60)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
+        assert rep.weyl_fraction is None
+        assert rep.skipped_rungs == (60,)
+        payload = json.loads(rep.to_json())
+        assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == [60]
+
 
 @pytest.fixture(scope="module")
 def report():

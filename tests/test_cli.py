@@ -25,6 +25,9 @@ NONFINITE_OR_BOOL = [
     {"symbol": {"f": [[1, 0]]}, "ladder": [True, 20, 40]},
 ]
 
+# Finite coefficients whose ||phi'||_2^2 overflows a double.
+HUGE = {"symbol": {"f": [[0, 0], [1e300, 0]]}}
+
 
 class TestConfigParsing:
     def test_minimal(self):
@@ -64,6 +67,7 @@ class TestConfigParsing:
             {"symbol": {"f": []}, "curve_samples": 10},
             {"symbol": {"f": []}, "region": {"re_min": 1, "re_max": 0, "im_min": 0, "im_max": 1}},
             *NONFINITE_OR_BOOL,
+            HUGE,
         ],
     )
     def test_rejects_malformed(self, doc):
@@ -90,6 +94,11 @@ class TestExitCodes:
         path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
 
+    @pytest.mark.parametrize("command", ["hs-check", "report"])
+    def test_overflowing_derivative_norm(self, tmp_path, command):
+        path = write_config(tmp_path, dict(HUGE, output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+
     def test_report_needs_three_rungs(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40], output_dir=str(tmp_path)))
         assert cli.main(["report", "--config", path]) == cli.EXIT_USAGE
@@ -99,6 +108,15 @@ class TestExitCodes:
         eigvals_fails_at(40)
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path]) == cli.EXIT_NO_CONVERGENCE
+
+    def test_weyl_eigensolver_failure(self, tmp_path, eigvals_fails_at, capsys):
+        # the Weyl diagnostic runs at order 200, which is not a ladder rung
+        eigvals_fails_at(200)
+        path = write_config(tmp_path, dict(BASE, ladder=[50, 100, 250], output_dir=str(tmp_path)))
+        assert cli.main(["report", "--config", path]) == cli.EXIT_NO_CONVERGENCE
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == [200]
+        assert "did not converge at N=200" in capsys.readouterr().err
 
     def test_pseudospectrum_without_region(self, tmp_path):
         path = write_config(tmp_path, BASE)

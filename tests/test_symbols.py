@@ -7,6 +7,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
+from oracles import min_self_distance, random_symbol
+from toepspec.symbols import _segment_distances
 
 
 def complex_coeffs(max_deg=4):
@@ -143,6 +145,45 @@ class TestCurveDiagnostics:
     def test_degenerate_rejected(self):
         with pytest.raises(ts.DegenerateCurveError):
             ts.curve_diagnostics(ts.sample_curve(ts.HarmonicSymbol({}), 64))
+
+    @pytest.mark.parametrize("M, max_deg", [(64, 1), (256, 6)])
+    def test_min_self_distance_matches_dense_oracle(self, M, max_deg):
+        rng = np.random.default_rng(M)
+        symbols = [
+            ts.HarmonicSymbol(c) for c in ({1: 1, -1: 0.5}, {1: 1, 2: 0.2}, {2: 1, -1: 0.8}, {1: 1, -1: 1})
+        ]
+        symbols += [random_symbol(rng, max_deg=max_deg) for _ in range(12)]
+        kinds = set()
+        for s in symbols:
+            if s.is_constant:
+                continue
+            c = ts.sample_curve(s, M)
+            d = ts.curve_diagnostics(c)
+            assert d.min_self_distance == min_self_distance(c.points), s.coeffs
+            kinds.add(d.jordan)
+        assert kinds == {True, False}
+
+
+class TestSegmentDistances:
+    def test_proper_crossing_is_zero(self):
+        got = _segment_distances(-1 - 1j, 1 + 1j, np.array([-1 + 1j]), np.array([1 - 1j]))
+        assert got[0] == 0.0
+
+    def test_touching_endpoint_is_zero(self):
+        got = _segment_distances(0, 2, np.array([1 + 1j, 2 + 0j]), np.array([1 + 0j, 3 + 1j]))
+        assert got.tolist() == [0.0, 0.0]
+
+    def test_parallel_disjoint_gap_is_exact(self):
+        got = _segment_distances(0, 1, np.array([0.5 + 0.25j, 3 + 0j]), np.array([2 + 0.25j, 4 + 0j]))
+        assert got.tolist() == [0.25, 2.0]
+
+    def test_symmetric_in_the_two_segments(self):
+        rng = np.random.default_rng(5)
+        a = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        b = rng.standard_normal(20) + 1j * rng.standard_normal(20)
+        fwd = _segment_distances(a[0], b[0], a[1:], b[1:])
+        back = [_segment_distances(a[k], b[k], a[:1], b[:1])[0] for k in range(1, 20)]
+        assert fwd.tolist() == back
 
 
 class TestInvariants:
