@@ -37,25 +37,25 @@ from .symbols import (
     CurveDiagnostics,
     DegenerateCurveError,
     HarmonicSymbol,
-    OnCurveError,
+    ON_CURVE_RTOL,
     SymbolCurve,
+    _windings,
     curve_diagnostics,
     sample_curve,
-    winding_number,
 )
 
 
-def dist_to_spectrum(lam: complex, c: SymbolCurve) -> float:
-    """Distance to the filled spectrum: zero on the curve or at nonzero
-    winding, the polyline distance otherwise."""
-    lam = complex(lam)
-    try:
-        wind = winding_number(c, lam)
-    except OnCurveError:
-        return 0.0
-    if wind != 0:
-        return 0.0
-    return c.distance_to(lam)
+def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.ndarray:
+    """Distance to the filled spectrum: zero on the curve (within
+    ON_CURVE_RTOL * scale) or at nonzero winding, the polyline distance
+    otherwise.  ``lam`` is one point (gives a float) or a 1-D array of
+    points (gives an array), taken POINT_BLOCK at a time."""
+    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
+    d = c.distance_to(pts)
+    outside = d > ON_CURVE_RTOL * c.scale()
+    outside[outside] = _windings(c, pts[outside]) == 0
+    d = np.where(outside, d, 0.0)
+    return float(d[0]) if np.ndim(lam) == 0 else d
 
 
 def lt_sum(
@@ -87,26 +87,16 @@ def weyl_diagnostic(
     N = int(N)
     if N < 16:
         raise ValueError(f"need N >= 16, got {N}")
-    if delta is None:
-        delta = 0.1 * s.wiener_norm()
     res = eigenvalues(bt_section(s, N).entries)
-    if not res.converged:
-        return None
-    ev = res.values
-    if s.is_constant:
-        # degenerate one-point curve: compare against b_0 directly
-        b0 = s[0]
-        return float(np.mean(np.abs(ev - b0) <= delta))
-    if curve is None:
-        curve = sample_curve(s)
-    inside = 0
-    for lam in ev:
-        if curve.distance_to(complex(lam)) <= delta:
-            inside += 1
-            continue
-        if winding_number(curve, complex(lam)) != 0:
-            inside += 1
-    return inside / len(ev)
+    return _near_fraction(s, res.values, delta, curve) if res.converged else None
+
+
+def _near_fraction(s: HarmonicSymbol, ev, delta=None, curve=None) -> float:
+    """Fraction of eigenvalues ``ev`` within ``delta`` (default
+    0.1 * wiener_norm) of the filled spectrum."""
+    delta = 0.1 * s.wiener_norm() if delta is None else delta
+    curve = sample_curve(s) if curve is None else curve
+    return float(np.mean(dist_to_spectrum(ev, curve) <= delta))
 
 
 # Resolvent-fit sample count and spectrum-distance range (times the Wiener norm).
@@ -268,7 +258,11 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
     p_hat, c_hat = _fit_p_hat(s, curve, opts, n_max)
 
     weyl_n = opts.weyl_order if opts.weyl_order is not None else min(200, n_max)
-    weyl = weyl_diagnostic(s, weyl_n, curve=curve) if weyl_n >= 16 else None
+    weyl = None
+    if weyl_n >= 16 and weyl_n in detection.rung_eigenvalues:
+        weyl = _near_fraction(s, detection.rung_eigenvalues[weyl_n], curve=curve)
+    elif weyl_n >= 16:
+        weyl = weyl_diagnostic(s, weyl_n, curve=curve)
     skipped = set(detection.skipped_rungs)
     if weyl is None and weyl_n >= 16:
         skipped.add(weyl_n)

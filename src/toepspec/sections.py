@@ -129,13 +129,15 @@ def _inner_tail_integral(X: float, L: int) -> float:
     1/((x+L+1)(sqrt(x+L+1)+sqrt(x+1))^2) = (2 - L/(x+L+1)
     - 2 sqrt((x+1)/(x+L+1))) / L^2 is
     (2x - L log(x+L+1) - 2 u v + 2 L log(u+v)) / L^2, with limit
-    (2 L log 2 - L - 2) / L^2 at infinity.
+    (2 L log 2 - L - 2) / L^2 at infinity.  So that no large terms cancel,
+    their difference is taken as (2 L log1p(L / (u+v)^2) + (2 (L+1) - (L+2) q)
+    / (u v + X)) / L^2 with q = u v - X = (X (L+2) + L + 1) / (u v + X).
     """
     u = math.sqrt(X + 1.0)
     v = math.sqrt(X + L + 1.0)
-    limit = 2.0 * L * math.log(2.0) - L - 2.0
-    at_x = 2.0 * X - L * math.log(X + L + 1.0) - 2.0 * u * v + 2.0 * L * math.log(u + v)
-    return (limit - at_x) / (L * L)
+    q = (X * (L + 2.0) + L + 1.0) / (u * v + X)
+    tail = 2.0 * L * math.log1p(L / (u + v) ** 2) + (2.0 * (L + 1.0) - (L + 2.0) * q) / (u * v + X)
+    return tail / (L * L)
 
 
 def hs_difference_sq_series(s: HarmonicSymbol, tol: float) -> SeriesResult:

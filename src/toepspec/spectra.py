@@ -13,7 +13,7 @@ import cmath
 import enum
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Mapping, Sequence
 
 import numpy as np
 
@@ -112,13 +112,15 @@ class DetectOptions:
 
 @dataclass(frozen=True)
 class DetectionResult(Sequence):
-    """Certified candidates plus detection side notes; acts as a sequence of
+    """Certified candidates plus detection side notes (``rung_eigenvalues``:
+    all eigenvalues of each converged rung, by order); acts as a sequence of
     the certified candidates."""
 
     candidates: tuple[DiscreteCandidate, ...]
     uncertified: tuple[DiscreteCandidate, ...]
     skipped_rungs: tuple[int, ...]
     curve: SymbolCurve
+    rung_eigenvalues: Mapping[int, np.ndarray]
 
     def __len__(self) -> int:
         return len(self.candidates)
@@ -190,33 +192,23 @@ def detect_discrete(
     delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, n_max)
     curve = sample_curve(s, opts.curve_samples)
 
-    rung_eigs: list[np.ndarray] = []
-    skipped: list[int] = []
-    top_section = None
+    rung_eigs: dict[int, np.ndarray] = {}
     for n in ladder:
-        section = bt_section(s, n)
-        if n == n_max:
-            top_section = section
+        section = bt_section(s, n)  # after the loop: the order-n_max section
         res = eigenvalues(section.entries)
-        if not res.converged:
-            skipped.append(n)
-            continue
-        ev = res.values
-        far = np.array([curve.distance_to(lam) >= delta_curve for lam in ev])
-        rung_eigs.append(ev[far])
-    if len(rung_eigs) < 3:
-        return DetectionResult(
-            candidates=(), uncertified=(), skipped_rungs=tuple(skipped), curve=curve
-        )
+        if res.converged:
+            rung_eigs[n] = res.values
+    far = [ev[curve.distance_to(ev) >= delta_curve] for ev in rung_eigs.values()]
 
     certified: list[DiscreteCandidate] = []
     uncertified: list[DiscreteCandidate] = []
     seen: set[complex] = set()
-    for loc, drift in _chain_ladder(rung_eigs, drift_tol):
+    # fewer than three converged rungs cannot show persistence
+    for loc, drift in _chain_ladder(far, drift_tol) if len(far) >= 3 else []:
         if loc in seen:
             continue
         seen.add(loc)
-        cert = smallest_singular_value(top_section.entries, loc)
+        cert = smallest_singular_value(section.entries, loc)
         comp = classify(loc, curve, delta_curve)
         cand = DiscreteCandidate(
             location=loc, persistence_drift=drift, certificate=cert, component=comp
@@ -229,8 +221,9 @@ def detect_discrete(
     return DetectionResult(
         candidates=tuple(sorted(certified, key=key)),
         uncertified=tuple(sorted(uncertified, key=key)),
-        skipped_rungs=tuple(skipped),
+        skipped_rungs=tuple(n for n in ladder if n not in rung_eigs),
         curve=curve,
+        rung_eigenvalues=rung_eigs,
     )
 
 
@@ -301,12 +294,9 @@ def resolvent_growth_fit(
     section = ht_section(s, N)
     log_d = []
     log_rnorm = []
-    for z in pts:
-        d = dist_to_spectrum(z, curve)
+    for z, d in zip(pts, dist_to_spectrum(np.array(pts), curve)):
         if d <= 0:
             raise ValueError(f"sample point {z} is not outside the spectrum")
-        if winding_number(curve, z) != 0:
-            raise ValueError(f"sample point {z} is not in the outer component")
         sig = smallest_singular_value(section.entries, z)
         if sig <= 0:
             raise ValueError(f"singular section at sample point {z}")
@@ -327,27 +317,23 @@ def points_at_distance(
 ) -> list[complex]:
     """Deterministic outer-component points at prescribed spectrum distances.
 
-    For each target distance and each of ``n_angles`` directions from the
-    curve centroid, bisect along the outward ray until the distance to the
-    filled spectrum matches the target.
+    Target i gets the ray from the curve centroid at angle 2 pi i / len(dists)
+    + pi / (2 n_angles); all rays are bisected together until the distance to
+    the filled spectrum matches the targets.
     """
     from .analysis import dist_to_spectrum
 
     centroid = complex(np.mean(curve.points))
     r_outer = float(np.max(np.abs(curve.points - centroid)))
-    out: list[complex] = []
-    for i, d in enumerate(dists):
-        d = float(d)
-        angle = 2.0 * math.pi * i / max(1, len(dists)) + math.pi / (2 * n_angles)
-        direction = complex(math.cos(angle), math.sin(angle))
-        t_lo, t_hi = 0.0, r_outer + d + 1.0
-        # dist along the ray is continuous and reaches d before t_hi
-        for _ in range(80):
-            t_mid = 0.5 * (t_lo + t_hi)
-            z = centroid + t_mid * direction
-            if dist_to_spectrum(z, curve) < d:
-                t_lo = t_mid
-            else:
-                t_hi = t_mid
-        out.append(centroid + t_hi * direction)
-    return out
+    d = np.array(dists, dtype=float)
+    angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / (2 * n_angles) for i in range(len(d))]
+    direction = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
+    t_lo = np.zeros(len(d))
+    t_hi = r_outer + d + 1.0
+    # dist along each ray is continuous and reaches d before t_hi
+    for _ in range(80):
+        t_mid = 0.5 * (t_lo + t_hi)
+        closer = dist_to_spectrum(centroid + t_mid * direction, curve) < d
+        t_lo = np.where(closer, t_mid, t_lo)
+        t_hi = np.where(closer, t_hi, t_mid)
+    return [complex(z) for z in centroid + t_hi * direction]

@@ -23,6 +23,9 @@ ON_CURVE_RTOL = 1e-12
 TAU_CUSP = 1e-6
 # Relative tolerance for the segment-segment self-intersection test.
 SELF_INTERSECT_RTOL = 1e-9
+# Points per block in the array forms of the distance and winding
+# computations: bounds their (points x segments) temporaries.
+POINT_BLOCK = 32
 # Coefficients below this modulus have a subnormal or zero square.
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
@@ -163,10 +166,22 @@ class SymbolCurve:
         s = float(np.max(np.abs(self.points))) if len(self.points) else 0.0
         return s if s > 0 else 1.0
 
-    def distance_to(self, lam: complex) -> float:
-        """Distance from ``lam`` to the sampled closed polyline."""
-        p = self.points
-        return float(np.min(_point_segment_distances(complex(lam), p, np.roll(p, -1))))
+    def distance_to(self, lam: complex | np.ndarray) -> float | np.ndarray:
+        """Distance from ``lam`` to the sampled closed polyline.  ``lam`` is
+        one point (gives a float) or a 1-D array of points (gives an array),
+        taken POINT_BLOCK at a time: temporaries hold POINT_BLOCK * len(self)
+        values at most."""
+        a, b = self.points, np.roll(self.points, -1)
+        d = _by_blocks(lambda z: np.min(_point_segment_distances(z, a, b), axis=1), lam)
+        return float(d[0]) if np.ndim(lam) == 0 else d
+
+
+def _by_blocks(fn, lam) -> np.ndarray:
+    """``fn`` over (POINT_BLOCK, 1) columns of the points ``lam``; ``fn``
+    returns one float per row."""
+    pts = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None]
+    blocks = [fn(pts[i : i + POINT_BLOCK]) for i in range(0, len(pts), POINT_BLOCK)]
+    return np.concatenate([np.empty(0), *blocks])
 
 
 def _point_segment_distances(lam, a, b) -> np.ndarray:
@@ -232,14 +247,17 @@ def winding_number(c: SymbolCurve, lam: complex) -> int:
     Raises OnCurveError when ``lam`` is within 1e-12 * scale of a sample.
     """
     lam = complex(lam)
-    z = c.points - lam
-    dist = c.distance_to(lam)
-    if dist <= ON_CURVE_RTOL * c.scale():
+    if c.distance_to(lam) <= ON_CURVE_RTOL * c.scale():
         raise OnCurveError(f"point {lam} lies on the sampled curve")
-    ratios = np.roll(z, -1) / z
-    increments = np.angle(ratios)
-    total = float(np.sum(increments)) / (2.0 * math.pi)
-    return int(round(total))
+    return int(_windings(c, lam)[0])
+
+
+def _windings(c: SymbolCurve, lams) -> np.ndarray:
+    """Winding numbers, as floats, of the polyline around points off the
+    curve: sums of wrapped argument increments, POINT_BLOCK points at a time."""
+    a, b = c.points, np.roll(c.points, -1)
+    turns = _by_blocks(lambda z: np.sum(np.angle((b - z) / (a - z)), axis=1), lams)
+    return np.rint(turns / (2.0 * math.pi))
 
 
 @dataclass(frozen=True)

@@ -2,10 +2,14 @@
 
 These deliberately avoid the library's own code paths: characteristic
 polynomials via Leverrier-Faddeev in extended precision, root solving via
-the companion matrix (numpy.roots), and brute-force series summation.
+the companion matrix (numpy.roots), brute-force series summation, and
+decimal arithmetic.  ``scalar_points_at_distance`` is the exception: it keeps
+the one-ray-at-a-time bisection that the vectorised one must reproduce.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -100,3 +104,41 @@ def min_self_distance(points) -> float:
     gap = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
     dist[(gap <= 1) | (gap >= M - 1)] = np.inf
     return float(np.min(dist))
+
+
+def scalar_points_at_distance(curve, dists, n_angles: int = 8) -> list:
+    """``points_at_distance`` one ray and one scalar distance at a time:
+    80 bisection steps per target distance along its ray from the centroid."""
+    from toepspec import dist_to_spectrum
+
+    centroid = complex(np.mean(curve.points))
+    r_outer = float(np.max(np.abs(curve.points - centroid)))
+    out = []
+    for i, d in enumerate(dists):
+        d = float(d)
+        angle = 2.0 * math.pi * i / max(1, len(dists)) + math.pi / (2 * n_angles)
+        direction = complex(math.cos(angle), math.sin(angle))
+        t_lo, t_hi = 0.0, r_outer + d + 1.0
+        for _ in range(80):
+            t_mid = 0.5 * (t_lo + t_hi)
+            if dist_to_spectrum(centroid + t_mid * direction, curve) < d:
+                t_lo = t_mid
+            else:
+                t_hi = t_mid
+        out.append(centroid + t_hi * direction)
+    return out
+
+
+def inner_tail_integral_decimal(X: float, L: int, digits: int = 60) -> float:
+    """The closed-form tail integral of the inner HS term, (2 L log 2 - L - 2
+    - (2X - L log(X+L+1) - 2uv + 2L log(u+v))) / L^2 with u = sqrt(X+1),
+    v = sqrt(X+L+1), evaluated in ``digits``-digit decimal arithmetic."""
+    from decimal import Decimal, localcontext
+
+    with localcontext() as ctx:
+        ctx.prec = digits
+        x, l = Decimal(X), Decimal(L)
+        u, v = (x + 1).sqrt(), (x + l + 1).sqrt()
+        limit = 2 * l * Decimal(2).ln() - l - 2
+        at_x = 2 * x - l * (x + l + 1).ln() - 2 * u * v + 2 * l * (u + v).ln()
+        return float((limit - at_x) / (l * l))

@@ -1,9 +1,11 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
 import toepspec as ts
+from toepspec.symbols import POINT_BLOCK
 
 
 SMALL_LADDER = (100, 200, 400)
@@ -27,6 +29,28 @@ class TestDistToSpectrum:
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 1}), 512)
         assert ts.dist_to_spectrum(1j, curve) == pytest.approx(1.0, abs=1e-3)
         assert ts.dist_to_spectrum(3.0, curve) == pytest.approx(1.0, abs=1e-3)
+
+    @pytest.mark.parametrize("coeffs", [{1: 1}, {2: 1}, {2: 1, -1: 0.8}, {0: 2 + 1j}])
+    def test_array_form_matches_scalar(self, coeffs):
+        curve = ts.sample_curve(ts.HarmonicSymbol(coeffs), 256)
+        ring = np.exp(2j * np.pi * np.arange(40) / 40)
+        # 20 curve samples and 20 segment midpoints (within ON_CURVE_RTOL of
+        # the curve), 40 points on |z| = 0.5 (windings 1; 2; 0 and 1; 0 for
+        # the four symbols) and 40 far points: more than three blocks
+        p = curve.points
+        on = np.concatenate([p[:120:6], 0.5 * (p[3:123:6] + p[4:124:6])])
+        pts = np.concatenate([on, 0.5 * ring, 2 + 1j + 5 * ring])
+        assert len(pts) > 3 * POINT_BLOCK
+        got = ts.dist_to_spectrum(pts, curve)
+        assert got.tolist() == [ts.dist_to_spectrum(z, curve) for z in pts]
+        assert (got[:40] == 0).all() and (got[80:] > 0).all()
+        assert (got[40:80] == 0).any() == (not ts.HarmonicSymbol(coeffs).is_constant)
+        near = curve.distance_to(pts)
+        assert near.tolist() == [curve.distance_to(z) for z in pts]
+        assert isinstance(ts.dist_to_spectrum(pts[0], curve), float)
+        assert isinstance(curve.distance_to(pts[0]), float)
+        for empty in (ts.dist_to_spectrum(pts[:0], curve), curve.distance_to(pts[:0])):
+            assert empty.shape == (0,)
 
 
 class TestLTSum:
@@ -70,6 +94,27 @@ class TestWeylDiagnostic:
     def test_unconverged_eigensolve_gives_none(self, eigvals_fails_at):
         eigvals_fails_at(40)
         assert ts.weyl_diagnostic(ts.HarmonicSymbol({1: 1, -1: 0.5}), 40) is None
+
+    def test_report_reuses_ladder_eigenvalues(self, monkeypatch):
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        expected = ts.weyl_diagnostic(s, 200)
+        calls = []
+        original = np.linalg.eigvals
+
+        def eigvals(a):
+            calls.append(len(a))
+            return original(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        rep = ts.build_report(s, ts.ReportOptions(ladder=(50, 100, 200)))
+        assert calls == [50, 100, 200]
+        assert rep.weyl_fraction == expected
+
+    def test_report_skips_unconverged_weyl_rung(self, eigvals_fails_at):
+        eigvals_fails_at(40)
+        opts = ts.ReportOptions(ladder=(20, 40, 80), weyl_order=40)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
+        assert rep.weyl_fraction is None and rep.skipped_rungs == (40,)
 
     def test_report_skips_unconverged_weyl_order(self, eigvals_fails_at):
         eigvals_fails_at(60)

@@ -6,7 +6,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from oracles import brute_inner_series, random_symbol
+from oracles import brute_inner_series, inner_tail_integral_decimal, random_symbol
+from toepspec.sections import _inner_tail_integral
 
 PI_SQ_24 = math.pi ** 2 / 24
 
@@ -101,6 +102,13 @@ class TestHSDifference:
             trunc = ts.hs_difference_sq_truncated(s, n)
             assert prev <= trunc <= series + 1e-9
             prev = trunc
+
+    @pytest.mark.parametrize("X", [1e3, 1e5, 3e6])
+    @pytest.mark.parametrize("L", [1, 2, 6])
+    def test_tail_integral_vs_decimal(self, X, L):
+        # K reaches ~3e6 at tol 1e-12; the closed form must not cancel there
+        ref = inner_tail_integral_decimal(X, L)
+        assert _inner_tail_integral(X, L) == pytest.approx(ref, rel=1e-12, abs=0)
 
     def test_series_zero_for_constant(self):
         res = ts.hs_difference_sq_series(ts.HarmonicSymbol({0: 3}), tol=1e-8)

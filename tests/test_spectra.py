@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import toepspec as ts
+from oracles import scalar_points_at_distance
 from toepspec.spectra import _chain_ladder
 
 
@@ -78,12 +79,14 @@ class TestDetectDiscrete:
         res = ts.detect_discrete(ts.HarmonicSymbol({1: 1}), ladder=SMALL_LADDER)
         assert isinstance(res.curve, ts.SymbolCurve)
         assert res.skipped_rungs == ()
+        assert {n: len(ev) for n, ev in res.rung_eigenvalues.items()} == {n: n for n in SMALL_LADDER}
 
     def test_unconverged_rung_is_skipped(self, eigvals_fails_at):
         eigvals_fails_at(120)
         res = ts.detect_discrete(ts.HarmonicSymbol({1: 1}), ladder=SMALL_LADDER)
         assert res.skipped_rungs == (120,)
         assert len(res) == 0 and res.uncertified == ()
+        assert sorted(res.rung_eigenvalues) == [60, 240]
 
 
 class TestClassify:
@@ -131,6 +134,15 @@ class TestResolventFit:
             assert d == pytest.approx(0.2, abs=2e-3) or d == pytest.approx(
                 0.4, abs=2e-3
             )
+
+    @pytest.mark.parametrize(
+        "coeffs", [{1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3}]
+    )
+    def test_points_at_distance_matches_scalar_bisection(self, coeffs):
+        s = ts.HarmonicSymbol(coeffs)
+        curve = ts.sample_curve(s)
+        dists = np.linspace(0.05, 0.5, 16) * s.wiener_norm()
+        assert ts.points_at_distance(curve, dists) == scalar_points_at_distance(curve, dists)
 
 
 class TestOptions:
