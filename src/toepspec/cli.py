@@ -170,10 +170,10 @@ def parse_config(doc: dict) -> RunConfig:
         if key in tols:
             setattr(cfg, key, _positive(tols[key], f"tolerances.{key}"))
     if "curve_samples" in doc:
-        cs = doc["curve_samples"]
-        if not _is_int(cs) or cs < 64:
-            raise ConfigError("field 'curve_samples' must be an integer >= 64")
-        cfg.curve_samples = cs
+        least = max(64, 16 * (cfg.symbol.m + cfg.symbol.n + 1))  # sample_curve's minimum
+        if not _is_int(doc["curve_samples"]) or doc["curve_samples"] < least:
+            raise ConfigError(f"field 'curve_samples' must be an integer >= {least}")
+        cfg.curve_samples = doc["curve_samples"]
     if "section_kind" in doc:
         kind = doc["section_kind"]
         if kind not in ("ht", "bt"):

@@ -10,6 +10,7 @@ certified truncation error.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -25,43 +26,58 @@ class SectionKind(enum.Enum):
 
 @dataclass(frozen=True)
 class FiniteSection:
-    """Dense N x N corner of an operator matrix, immutable."""
+    """N x N corner of an operator matrix, stored by its diagonals, immutable.
+
+    ``bands`` maps an offset j (row minus column), -N < j < N, to the read-only
+    vector of length N - |j| whose element k sits at
+    (k + max(j, 0), k + max(-j, 0)); absent offsets are zero diagonals.
+    ``entries`` is the dense matrix, built on first read and then cached.
+    """
 
     kind: SectionKind
     order: int
-    entries: np.ndarray
+    bands: dict[int, np.ndarray]
     symbol: HarmonicSymbol
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "entries", np.asarray(self.entries, dtype=complex))
-        self.entries.setflags(write=False)
+        for band in self.bands.values():
+            band.setflags(write=False)
+
+    @functools.cached_property
+    def entries(self) -> np.ndarray:
+        a = np.zeros((self.order, self.order), dtype=complex)
+        for j, band in self.bands.items():
+            k = np.arange(len(band))
+            a[k + max(j, 0), k + max(-j, 0)] = band
+        a.setflags(write=False)
+        return a
 
     def frobenius_norm(self) -> float:
-        return float(np.linalg.norm(self.entries))
+        return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.bands.values()))
 
 
-def _coeff_by_offset(s: HarmonicSymbol, N: int) -> np.ndarray:
-    """Array c with c[i - j + N - 1] = b_{i-j} for 0 <= i, j < N."""
-    c = np.zeros(2 * N - 1, dtype=complex)
+def _bt_weights(N: int, L: int) -> np.ndarray:
+    """Bergman weights sqrt(k / (k + L)), k = 1..N-L, along offset +-L."""
+    k = np.arange(1, N - L + 1, dtype=float)
+    return np.sqrt(k / (k + L))
+
+
+def _section(s: HarmonicSymbol, N: int, kind: SectionKind) -> FiniteSection:
+    N = int(N)
+    if N < 1:
+        raise ValueError(f"section order must be >= 1, got {N}")
+    bt = kind is SectionKind.BT
+    bands = {}
     for j, v in s.coeffs.items():
-        if -(N - 1) <= j <= N - 1:
-            c[j + N - 1] = v
-    return c
-
-
-def _offset_matrix(N: int) -> np.ndarray:
-    i = np.arange(N)
-    return i[:, None] - i[None, :]
+        if abs(j) < N:
+            # np.full keeps the bits of v: np.ones(...) * v turns an imaginary -0.0 into +0.0
+            bands[j] = _bt_weights(N, abs(j)) * v if bt else np.full(N - abs(j), v)
+    return FiniteSection(kind=kind, order=N, bands=bands, symbol=s)
 
 
 def ht_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     """N x N Hardy-Toeplitz section with entries b_{i-j}."""
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"section order must be >= 1, got {N}")
-    c = _coeff_by_offset(s, N)
-    entries = c[_offset_matrix(N) + N - 1]
-    return FiniteSection(kind=SectionKind.HT, order=N, entries=entries, symbol=s)
+    return _section(s, N, SectionKind.HT)
 
 
 def bt_entry(s: HarmonicSymbol, i: int, j: int) -> complex:
@@ -75,38 +91,22 @@ def bt_entry(s: HarmonicSymbol, i: int, j: int) -> complex:
     return w * b
 
 
-def _bt_weights(N: int) -> np.ndarray:
-    i = np.arange(1, N + 1, dtype=float)
-    lo = np.minimum(i[:, None], i[None, :])
-    hi = np.maximum(i[:, None], i[None, :])
-    return np.sqrt(lo / hi)
-
-
 def bt_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     """N x N Bergman-Toeplitz section."""
-    N = int(N)
-    if N < 1:
-        raise ValueError(f"section order must be >= 1, got {N}")
-    c = _coeff_by_offset(s, N)
-    entries = _bt_weights(N) * c[_offset_matrix(N) + N - 1]
-    return FiniteSection(kind=SectionKind.BT, order=N, entries=entries, symbol=s)
+    return _section(s, N, SectionKind.BT)
 
 
 def hs_difference_sq_truncated(s: HarmonicSymbol, N: int) -> float:
     """Frobenius sum sum_{0<=i,j<N} |tau_{i,j} - b_{i-j}|^2, one diagonal per
-    coefficient: offset j carries the weights sqrt((k+1)/(k+|j|+1)), k < N-|j|.
+    coefficient: offset j carries the weights ``_bt_weights(N, |j|)``.
     """
     N = int(N)
     if N < 1:
         raise ValueError(f"section order must be >= 1, got {N}")
     total = 0.0
     for j, v in s.coeffs.items():
-        L = abs(j)
-        if L == 0 or L >= N:
-            continue
-        k = np.arange(1, N - L + 1, dtype=float)
-        w = np.sqrt(k / (k + L))
-        total += abs(v) * abs(v) * float(np.sum((1.0 - w) ** 2))
+        if 0 < abs(j) < N:
+            total += abs(v) * abs(v) * float(np.sum((1.0 - _bt_weights(N, abs(j))) ** 2))
     return total
 
 

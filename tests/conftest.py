@@ -1,22 +1,45 @@
-"""Shared test plumbing: acceptance-gate summary lines and a fixture that
-makes the LAPACK eigensolver fail.
+"""Shared test plumbing: a header with the BLAS set-up, acceptance-gate
+summary lines and a fixture that makes the LAPACK eigensolver fail.
 
 The acceptance tests register one entry per criterion; printing happens in
 the terminal summary so the PASS/FAIL lines survive pytest's output capture
-and always appear in a plain ``pytest -v`` log.
+and always appear in a plain ``pytest -v`` log.  The header records what a
+wall-clock budget depends on, so a slow run can be diagnosed from its log.
 """
+
+import os
 
 import numpy as np
 import pytest
 
 ACCEPTANCE_LOG: list[str] = []
+THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas_setup() -> list[str]:
+    """numpy, BLAS/LAPACK names, thread variables and CPU count.  The thread
+    count BLAS actually runs with cannot be read without threadpoolctl."""
+    try:
+        deps = np.show_config(mode="dicts")["Build Dependencies"]
+        libs = ", ".join(
+            f"{k} {deps[k]['name']} {deps[k].get('version', '?')}" for k in ("blas", "lapack")
+        )
+    except (TypeError, KeyError) as exc:  # older numpy has no mode="dicts"
+        libs = f"blas/lapack unknown ({type(exc).__name__}: {exc})"
+    threads = ", ".join(f"{v}={os.environ.get(v, 'unset')}" for v in THREAD_VARS)
+    return [f"numpy {np.__version__}; {libs}", f"{threads}; cpu_count {os.cpu_count()}"]
+
+
+def pytest_report_header(config):
+    return _blas_setup()
 
 
 def pytest_terminal_summary(terminalreporter):
     if not ACCEPTANCE_LOG:
         return
     terminalreporter.section("acceptance criteria")
-    for line in ACCEPTANCE_LOG:
+    # repeated here because ``pytest -q`` hides the report header
+    for line in _blas_setup() + ACCEPTANCE_LOG:
         terminalreporter.write_line(line)
 
 

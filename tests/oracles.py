@@ -2,9 +2,10 @@
 
 These deliberately avoid the library's own code paths: characteristic
 polynomials via Leverrier-Faddeev in extended precision, root solving via
-the companion matrix (numpy.roots), brute-force series summation, and
-decimal arithmetic.  ``scalar_points_at_distance`` is the exception: it keeps
-the one-ray-at-a-time bisection that the vectorised one must reproduce.
+the companion matrix (numpy.roots), brute-force series summation, dense
+section assembly, and decimal arithmetic.  ``scalar_points_at_distance`` is
+the exception: it keeps the one-ray-at-a-time bisection that the vectorised
+one must reproduce.
 """
 
 from __future__ import annotations
@@ -58,6 +59,24 @@ def brute_inner_series(L: int, terms: int) -> float:
     """Direct partial sum of 1/((k+L+1)(sqrt(k+L+1)+sqrt(k+1))^2)."""
     k = np.arange(terms, dtype=float)
     return float(np.sum(1.0 / ((k + L + 1) * (np.sqrt(k + L + 1) + np.sqrt(k + 1)) ** 2)))
+
+
+def dense_section(s, N: int, kind: str) -> np.ndarray:
+    """N x N HT ("ht") or BT ("bt") section built densely: b_{i-j} gathered
+    through the N x N offset matrix i - j, times the N x N weight matrix
+    sqrt(min(i+1, j+1) / max(i+1, j+1)) for BT."""
+    c = np.zeros(2 * N - 1, dtype=complex)
+    for j, v in s.coeffs.items():
+        if -(N - 1) <= j <= N - 1:
+            c[j + N - 1] = v
+    i = np.arange(N)
+    entries = c[i[:, None] - i[None, :] + N - 1]
+    if kind == "ht":
+        return entries
+    k = np.arange(1, N + 1, dtype=float)
+    lo = np.minimum(k[:, None], k[None, :])
+    hi = np.maximum(k[:, None], k[None, :])
+    return np.sqrt(lo / hi) * entries
 
 
 def random_symbol(rng: np.random.Generator, max_deg: int = 6, amp: float = 0.9):

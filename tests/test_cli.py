@@ -28,6 +28,12 @@ NONFINITE_OR_BOOL = [
 # Finite coefficients whose ||phi'||_2^2 overflows a double.
 HUGE = {"symbol": {"f": [[0, 0], [1e300, 0]]}}
 
+# Indices in [-1, 3]: sampling the curve needs 16 (m + n + 1) = 80 > 64 samples.
+FEW_SAMPLES = {
+    "symbol": {"f": [[0, 0], [0, 0], [0, 0], [1, 0]], "g": [[0, 0], [0.8, 0]]},
+    "curve_samples": 64,
+}
+
 
 class TestConfigParsing:
     def test_minimal(self):
@@ -68,6 +74,7 @@ class TestConfigParsing:
             {"symbol": {"f": []}, "region": {"re_min": 1, "re_max": 0, "im_min": 0, "im_max": 1}},
             *NONFINITE_OR_BOOL,
             HUGE,
+            FEW_SAMPLES,
         ],
     )
     def test_rejects_malformed(self, doc):
@@ -98,6 +105,12 @@ class TestExitCodes:
     def test_overflowing_derivative_norm(self, tmp_path, command):
         path = write_config(tmp_path, dict(HUGE, output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+
+    @pytest.mark.parametrize("command", ["curve", "report"])
+    def test_curve_samples_below_symbol_minimum(self, tmp_path, command, capsys):
+        doc = dict(FEW_SAMPLES, ladder=[20, 40, 60], output_dir=str(tmp_path))
+        assert cli.main([command, "--config", write_config(tmp_path, doc)]) == cli.EXIT_USAGE
+        assert "'curve_samples' must be an integer >= 80" in capsys.readouterr().err
 
     def test_report_needs_three_rungs(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40], output_dir=str(tmp_path)))

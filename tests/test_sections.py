@@ -1,4 +1,5 @@
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,10 +7,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from oracles import brute_inner_series, inner_tail_integral_decimal, random_symbol
+from oracles import brute_inner_series, dense_section, inner_tail_integral_decimal, random_symbol
+from toepspec.cli import load_config
 from toepspec.sections import _inner_tail_integral
 
 PI_SQ_24 = math.pi ** 2 / 24
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_rng = np.random.default_rng(0)
+BAND_SYMBOLS = [
+    load_config(str(CONFIGS / "ellipse.json")).symbol,
+    load_config(str(CONFIGS / "mixed.json")).symbol,
+    # signed zeros in both parts; a product with a float turns imaginary -0.0 into +0.0
+    ts.HarmonicSymbol({0: complex(-0.0, 1.0), 1: complex(0.5, -0.0), -2: complex(-0.0, 0.3)}),
+    *(random_symbol(_rng) for _ in range(12)),
+]
+SECTION_BUILDERS = [("ht", ts.ht_section), ("bt", ts.bt_section)]
 
 
 class TestHTSection:
@@ -65,6 +78,39 @@ class TestBTSection:
         a = ts.bt_section(ts.HarmonicSymbol({1: 1}), 5).entries
         for i in range(1, 5):
             assert a[i, i - 1] == pytest.approx(math.sqrt(i / (i + 1)), abs=1e-15)
+
+
+class TestSectionBands:
+    @pytest.mark.parametrize("kind,build", SECTION_BUILDERS)
+    @pytest.mark.parametrize("N", [1, 2, 3, 7, 50, 200])
+    def test_entries_bytes_match_dense_oracle(self, kind, build, N):
+        for s in BAND_SYMBOLS:
+            want = dense_section(s, N, kind)
+            assert build(s, N).entries.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("kind,build", SECTION_BUILDERS)
+    def test_band_layout_and_read_only(self, kind, build):
+        for s in BAND_SYMBOLS:
+            for N in (1, 3, 50):
+                sec = build(s, N)
+                assert sec.kind.value == kind and sec.order == N
+                for j, band in sec.bands.items():
+                    assert -s.m <= j <= s.n and -N < j < N
+                    assert band.shape == (N - abs(j),)
+                    assert not band.flags.writeable
+                assert set(sec.bands) == {j for j in s.coeffs if abs(j) < N}
+                assert not sec.entries.flags.writeable
+                assert sec.entries is sec.entries
+
+    @pytest.mark.parametrize("kind,build", SECTION_BUILDERS)
+    def test_frobenius_norm_from_bands(self, kind, build):
+        for s in BAND_SYMBOLS:
+            for N in (1, 7, 200):
+                sec = build(s, N)
+                norm = sec.frobenius_norm()
+                assert "entries" not in sec.__dict__
+                want = np.linalg.norm(sec.entries)
+                assert norm == pytest.approx(want, rel=1e-14, abs=0)
 
 
 class TestHSDifference:
