@@ -4,8 +4,8 @@ Subcommands: hs-check, spectrum, pseudospectrum, report, curve.  One JSON
 config document describes the experiment; outputs are CSV/JSON artifacts
 with 17-significant-digit floats so external plots are bit-stable.
 
-Exit codes: 0 success, 2 bound violation, 3 eigensolver non-convergence,
-64 usage/parse error, 74 I/O error.
+Exit codes: 0 success, 2 bound violation, 3 eigensolver or SVD
+non-convergence, 64 usage/parse error, 74 I/O error.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from .sections import (
     hs_difference_sq_series,
     hs_difference_sq_truncated,
     ht_section,
+    series_tol_floor,
 )
 from .spectra import DetectOptions, Rect, pseudospectrum
 from .symbols import (
@@ -169,6 +170,9 @@ def parse_config(doc: dict) -> RunConfig:
     for key in ("delta_curve", "drift_tol", "cert_tol", "series_tol"):
         if key in tols:
             setattr(cfg, key, _positive(tols[key], f"tolerances.{key}"))
+    floor = series_tol_floor(cfg.symbol)
+    if cfg.series_tol < floor:
+        raise ConfigError(f"field 'tolerances.series_tol' must be >= {floor:.3g}, 4 eps ||phi'||_2^2")
     if "curve_samples" in doc:
         least = max(64, 16 * (cfg.symbol.m + cfg.symbol.n + 1))  # sample_curve's minimum
         if not _is_int(doc["curve_samples"]) or doc["curve_samples"] < least:
@@ -320,11 +324,10 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        p.add_argument(
-            "--svd-check",
-            action="store_true",
-            help="verify sigma_min values with the slow Jacobi SVD oracle",
-        )
+        if name == "pseudospectrum":
+            p.add_argument(
+                "--svd-check", action="store_true", help="verify sigma_min with the Jacobi SVD oracle"
+            )
     return parser
 
 
@@ -355,6 +358,9 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except np.linalg.LinAlgError as exc:
+        print(f"solver error: {exc}", file=sys.stderr)
+        return EXIT_NO_CONVERGENCE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

@@ -2,9 +2,10 @@
 
 In the monomial bases the Hardy-Toeplitz matrix is [b_{i-j}] and the
 Bergman-Toeplitz matrix carries the extra weight
-sqrt((min(i,j)+1)/(max(i,j)+1)).  The squared Frobenius norm of their
-difference admits the exact double-series form evaluated here with a
-certified truncation error.
+sqrt((min(i,j)+1)/(max(i,j)+1)), which ``_bt_weights`` computes along each
+diagonal.  The squared Hilbert-Schmidt norm of the difference of the two
+operators is the order-N truncation of that difference plus a closed-form
+tail whose error is bounded by convexity (trapezoid and midpoint rules).
 """
 
 from __future__ import annotations
@@ -80,17 +81,6 @@ def ht_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     return _section(s, N, SectionKind.HT)
 
 
-def bt_entry(s: HarmonicSymbol, i: int, j: int) -> complex:
-    """Single Bergman-Toeplitz entry sqrt((min(i,j)+1)/(max(i,j)+1)) b_{i-j}."""
-    if i < 0 or j < 0:
-        raise ValueError("indices must be non-negative")
-    b = s[i - j]
-    if b == 0:
-        return 0j
-    w = math.sqrt((min(i, j) + 1) / (max(i, j) + 1))
-    return w * b
-
-
 def bt_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     """N x N Bergman-Toeplitz section."""
     return _section(s, N, SectionKind.BT)
@@ -116,10 +106,10 @@ class SeriesResult:
     tail_bound: float
 
 
-def _inner_term(k: np.ndarray, L: int) -> np.ndarray:
-    """Term 1 / ((k+L+1) (sqrt(k+L+1) + sqrt(k+1))^2), vectorized in k."""
-    kk = np.asarray(k, dtype=float)
-    return 1.0 / ((kk + L + 1) * (np.sqrt(kk + L + 1) + np.sqrt(kk + 1)) ** 2)
+def _inner_term(k: float, L: int) -> float:
+    """Term t_k = 1 / ((k+L+1) (sqrt(k+L+1) + sqrt(k+1))^2) = (1 - w_{k+1})^2 / L^2
+    of the series along offset +-L, with w the Bergman weight of ``_bt_weights``."""
+    return 1.0 / ((k + L + 1) * (math.sqrt(k + L + 1) + math.sqrt(k + 1)) ** 2)
 
 
 def _inner_tail_integral(X: float, L: int) -> float:
@@ -140,37 +130,41 @@ def _inner_tail_integral(X: float, L: int) -> float:
     return tail / (L * L)
 
 
+def series_tol_floor(s: HarmonicSymbol) -> float:
+    """Smallest tol ``hs_difference_sq_series`` accepts, 4 eps ||phi'||_2^2:
+    the series value is below ||phi'||_2^2 and rounds at a few eps times it."""
+    return 4.0 * float(np.finfo(float).eps) * s.derivative_norm_sq()
+
+
 def hs_difference_sq_series(s: HarmonicSymbol, tol: float) -> SeriesResult:
-    """Exact-series value of ||T_bt - T_ht||_F^2 with certified tail bound.
+    """||T_bt - T_ht||_HS^2 as the order-N truncation plus a bounded tail.
 
-    The series is sum_{l != 0} l^2 |b_l|^2 S(|l|) with
-    S(L) = sum_k 1/((k+L+1)(sqrt(k+L+1)+sqrt(k+1))^2).  Each S(L) is summed
-    directly up to K terms and completed with the closed-form integral of the
-    (decreasing) term function; the omitted remainder per l is at most the
-    first skipped term, so tail_bound < tol by the choice of K.
+    Along offset l, |l| = L, the truncation holds the first a = N - L terms of
+    l^2 |b_l|^2 sum_k t_k (``_inner_term``).  t is convex, so the trapezoid and
+    midpoint rules bound the omitted sum_{k>=a} t_k below by I(a) + t_a / 2 and
+    above by I(a - 1/2), I = ``_inner_tail_integral``.  The value adds the lower
+    bound, ``tail_bound`` the gap (about l^2 |b_l|^2 / (16 a^3)), so value <=
+    true <= value + tail_bound in exact arithmetic.  a starts at about
+    (||phi'||_2^2 / (16 tol))^(1/3); N doubles while the bound is not below tol.
     """
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol}")
-    weights: dict[int, float] = {}
-    for j, v in s.coeffs.items():
-        if j != 0:
-            weights[abs(j)] = weights.get(abs(j), 0.0) + j * j * (abs(v) * abs(v))
-    total_weight = sum(weights.values())
-    if total_weight == 0.0:
+    floor = series_tol_floor(s)
+    if not (tol > 0 and tol >= floor):
+        raise ValueError(f"tol must be positive and >= 4 eps ||phi'||_2^2 = {floor:.3g}, got {tol}")
+    W = s.derivative_norm_sq()
+    if W == 0.0:
         return SeriesResult(value=0.0, tail_bound=0.0)
-
-    # Sum - integral correction leaves an error <= t_{K+1} ~ 1/(4 K^2) per
-    # inner series, so K ~ sqrt(W / (4 tol)) certifies the weighted total.
-    K = max(1000, int(math.ceil(math.sqrt(total_weight / (4.0 * tol)))) + 10)
-    value = 0.0
-    tail_bound = 0.0
-    ks = np.arange(K + 1, dtype=float)
-    for L, w in sorted(weights.items()):
-        partial = float(np.sum(_inner_term(ks, L)))
-        correction = _inner_tail_integral(K + 1.0, L)
-        value += w * (partial + correction)
-        tail_bound += w * float(_inner_term(np.array([K + 1.0]), L)[0])
-    return SeriesResult(value=value, tail_bound=tail_bound)
+    N = max(s.m, s.n) + math.ceil((W / (16.0 * tol)) ** (1.0 / 3.0)) + 1
+    while True:
+        value, tail_bound = hs_difference_sq_truncated(s, N), 0.0
+        for j, v in s.coeffs.items():
+            if j != 0:
+                L, w = abs(j), j * j * (abs(v) * abs(v))
+                lower = _inner_tail_integral(N - L, L) + 0.5 * _inner_term(N - L, L)
+                value += w * lower
+                tail_bound += w * (_inner_tail_integral(N - L - 0.5, L) - lower)
+        if tail_bound < tol:
+            return SeriesResult(value=value, tail_bound=tail_bound)
+        N *= 2
 
 
 def hs_bound(s: HarmonicSymbol) -> float:

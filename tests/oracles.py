@@ -61,6 +61,30 @@ def brute_inner_series(L: int, terms: int) -> float:
     return float(np.sum(1.0 / ((k + L + 1) * (np.sqrt(k + L + 1) + np.sqrt(k + 1)) ** 2)))
 
 
+def long_k_series(s, tol: float) -> tuple[float, float]:
+    """HS series sum_{l != 0} l^2 |b_l|^2 sum_{k>=0} t_k(|l|) summed directly
+    to K = max(1000, ceil(sqrt(W / (4 tol))) + 10), W = sum l^2 |b_l|^2, plus
+    the tail integral from K + 1 in decimal arithmetic.  t decreases, so the
+    true value lies in [value, value + bound] with bound = sum_l l^2 |b_l|^2
+    t_{K+1}(|l|); the terms are summed in blocks of 2^18."""
+    weights = [(abs(j), j * j * abs(v) ** 2) for j, v in s.coeffs.items() if j]
+    W = sum(w for _, w in weights)
+    K = max(1000, int(math.ceil(math.sqrt(W / (4.0 * tol)))) + 10)
+
+    def term(k, L):
+        return 1.0 / ((k + L + 1) * (np.sqrt(k + L + 1) + np.sqrt(k + 1)) ** 2)
+
+    value = bound = 0.0
+    for L, w in weights:
+        partial = sum(
+            float(np.sum(term(np.arange(lo, min(lo + 2**18, K + 1), dtype=float), L)))
+            for lo in range(0, K + 1, 2**18)
+        )
+        value += w * (partial + inner_tail_integral_decimal(K + 1.0, L))
+        bound += w * float(term(K + 1.0, L))
+    return value, bound
+
+
 def dense_section(s, N: int, kind: str) -> np.ndarray:
     """N x N HT ("ht") or BT ("bt") section built densely: b_{i-j} gathered
     through the N x N offset matrix i - j, times the N x N weight matrix

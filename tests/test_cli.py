@@ -28,6 +28,9 @@ NONFINITE_OR_BOOL = [
 # Finite coefficients whose ||phi'||_2^2 overflows a double.
 HUGE = {"symbol": {"f": [[0, 0], [1e300, 0]]}}
 
+# ||phi'||_2^2 = 1e6: series_tol 1e-12 is below the floor 4 eps 1e6 = 8.88e-10.
+BELOW_FLOOR = {"symbol": {"f": [[0, 0], [1000, 0]]}, "tolerances": {"series_tol": 1e-12}}
+
 # Indices in [-1, 3]: sampling the curve needs 16 (m + n + 1) = 80 > 64 samples.
 FEW_SAMPLES = {
     "symbol": {"f": [[0, 0], [0, 0], [0, 0], [1, 0]], "g": [[0, 0], [0.8, 0]]},
@@ -74,6 +77,7 @@ class TestConfigParsing:
             {"symbol": {"f": []}, "region": {"re_min": 1, "re_max": 0, "im_min": 0, "im_max": 1}},
             *NONFINITE_OR_BOOL,
             HUGE,
+            BELOW_FLOOR,
             FEW_SAMPLES,
         ],
     )
@@ -111,6 +115,40 @@ class TestExitCodes:
         doc = dict(FEW_SAMPLES, ladder=[20, 40, 60], output_dir=str(tmp_path))
         assert cli.main([command, "--config", write_config(tmp_path, doc)]) == cli.EXIT_USAGE
         assert "'curve_samples' must be an integer >= 80" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hs-check", "report"])
+    @pytest.mark.parametrize(
+        "doc,floor",
+        [
+            (BELOW_FLOOR, "8.88e-10"),
+            (dict(BASE, tolerances={"series_tol": 1e-30}), "1.11e-15"),
+        ],
+    )
+    def test_series_tol_below_floor(self, tmp_path, capsys, command, doc, floor):
+        path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+        assert f"'tolerances.series_tol' must be >= {floor}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["hs-check", "spectrum", "report", "curve"])
+    def test_svd_check_only_on_pseudospectrum(self, tmp_path, command):
+        path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path, "--svd-check"]) == cli.EXIT_USAGE
+
+    def test_svd_failure(self, tmp_path, capsys):
+        # the region's width overflows a double, so the grid holds NaN nodes
+        doc = dict(
+            BASE,
+            region={"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
+            grid={"nx": 2, "ny": 2},
+            section_order=8,
+            output_dir=str(tmp_path),
+        )
+        with pytest.warns(RuntimeWarning) as caught:
+            code = cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)])
+        assert code == cli.EXIT_NO_CONVERGENCE
+        assert any("overflow" in str(w.message) for w in caught)
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
 
     def test_report_needs_three_rungs(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40], output_dir=str(tmp_path)))

@@ -1,4 +1,6 @@
 import math
+import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -7,9 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from oracles import brute_inner_series, dense_section, inner_tail_integral_decimal, random_symbol
+from oracles import (
+    brute_inner_series,
+    dense_section,
+    inner_tail_integral_decimal,
+    long_k_series,
+    random_symbol,
+)
 from toepspec.cli import load_config
-from toepspec.sections import _inner_tail_integral
+from toepspec.sections import _inner_tail_integral, series_tol_floor
 
 PI_SQ_24 = math.pi ** 2 / 24
 
@@ -23,6 +31,24 @@ BAND_SYMBOLS = [
     *(random_symbol(_rng) for _ in range(12)),
 ]
 SECTION_BUILDERS = [("ht", ts.ht_section), ("bt", ts.bt_section)]
+
+
+def _nonconstant_seed0_symbols(count):
+    """The first ``count`` non-constant ``random_symbol`` draws from seed 0,
+    the symbols of the benchmark's curve-hs workload."""
+    rng, out = np.random.default_rng(0), []
+    while len(out) < count:
+        s = random_symbol(rng)
+        if not s.is_constant:
+            out.append(s)
+    return out
+
+
+SERIES_CASES = [
+    *((f"seed0-{k}", s, 1e-12) for k, s in enumerate(_nonconstant_seed0_symbols(8))),
+    ("ellipse", BAND_SYMBOLS[0], 1e-8),
+    ("mixed", BAND_SYMBOLS[1], 1e-8),
+]
 
 
 class TestHTSection:
@@ -61,13 +87,6 @@ class TestBTSection:
                 w = math.sqrt((min(i, j) + 1) / (max(i, j) + 1))
                 b = s.coeffs.get(i - j, 0)
                 assert a[i, j] == pytest.approx(w * b, abs=1e-15)
-
-    def test_bt_entry_matches_matrix(self):
-        s = ts.HarmonicSymbol({2: 1 + 1j, -1: 0.3})
-        a = ts.bt_section(s, 9).entries
-        for i in (0, 3, 8):
-            for j in (0, 5, 8):
-                assert ts.bt_entry(s, i, j) == a[i, j]
 
     def test_diagonal_unweighted(self):
         s = ts.HarmonicSymbol({0: 4 - 2j, 1: 1})
@@ -155,6 +174,38 @@ class TestHSDifference:
         # K reaches ~3e6 at tol 1e-12; the closed form must not cancel there
         ref = inner_tail_integral_decimal(X, L)
         assert _inner_tail_integral(X, L) == pytest.approx(ref, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("name,s,tol", SERIES_CASES, ids=[c[0] for c in SERIES_CASES])
+    def test_series_brackets_long_k_oracle(self, name, s, tol):
+        res = ts.hs_difference_sq_series(s, tol)
+        ref, ref_bound = long_k_series(s, tol)
+        assert 0 <= res.tail_bound < tol
+        # both intervals contain the true value, so they must overlap
+        assert res.value <= ref + ref_bound and ref <= res.value + res.tail_bound
+
+    @pytest.mark.parametrize(
+        "s,tol",
+        [(_nonconstant_seed0_symbols(1)[0], 1e-12), (ts.from_parts([0, 1000], []), 1e-9)],
+        ids=["curve-hs-first", "f=[0,1000]"],
+    )
+    def test_series_memory(self, s, tol):
+        tracemalloc.start()
+        try:
+            res = ts.hs_difference_sq_series(s, tol)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.tail_bound < tol
+        assert peak < 8 * 2**20
+
+    def test_series_tol_floor(self):
+        s = ts.from_parts([0, 1000], [])
+        floor = 4 * sys.float_info.epsilon * 1e6
+        assert series_tol_floor(s) == floor
+        for tol in (1e-12, 0.99 * floor, 0.0, -1.0, float("nan")):
+            with pytest.raises(ValueError, match="4 eps"):
+                ts.hs_difference_sq_series(s, tol)
+        assert ts.hs_difference_sq_series(s, floor).tail_bound < floor
 
     def test_series_zero_for_constant(self):
         res = ts.hs_difference_sq_series(ts.HarmonicSymbol({0: 3}), tol=1e-8)
