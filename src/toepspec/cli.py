@@ -33,6 +33,7 @@ from .spectra import DetectOptions, Rect, pseudospectrum
 from .symbols import (
     DegenerateCurveError,
     HarmonicSymbol,
+    _angles,
     curve_diagnostics,
     from_parts,
     sample_curve,
@@ -131,9 +132,13 @@ def parse_config(doc: dict) -> RunConfig:
     sym = doc["symbol"]
     f = _coeff_list(sym.get("f", []), "symbol.f")
     g = _coeff_list(sym.get("g", []), "symbol.g")
-    cfg = RunConfig(symbol=from_parts(f, g))
-    if not math.isfinite(cfg.symbol.derivative_norm_sq()):
-        raise ConfigError("field 'symbol' is too large: ||phi'||_2^2 is not a finite double")
+    try:
+        cfg = RunConfig(symbol=from_parts(f, g))
+        norms = (cfg.symbol.wiener_norm(), cfg.symbol.derivative_norm_sq())
+    except OverflowError:  # some |b_j| overflows although its parts are finite
+        norms = (math.inf,)
+    if not all(math.isfinite(v) for v in norms):
+        raise ConfigError("field 'symbol' is too large: sum |b_j| or ||phi'||_2^2 is not a finite double")
 
     if "ladder" in doc:
         ladder = doc["ladder"]
@@ -153,8 +158,8 @@ def parse_config(doc: dict) -> RunConfig:
         ):
             raise ConfigError("field 'region' must contain finite numbers re_min, re_max, im_min, im_max")
         cfg.region = Rect(*(float(reg[k]) for k in keys))
-        if cfg.region.is_empty():
-            raise ConfigError("field 'region' is empty (min >= max)")
+        if not cfg.region.is_valid():
+            raise ConfigError("field 'region' needs min < max and a width and height that are finite doubles")
     if "grid" in doc:
         grid = doc["grid"]
         if not isinstance(grid, dict) or not all(
@@ -286,13 +291,8 @@ def cmd_report(cfg: RunConfig) -> int:
 def cmd_curve(cfg: RunConfig) -> int:
     curve = sample_curve(cfg.symbol, cfg.curve_samples)
     lines = ["theta,re,im,tangent_re,tangent_im"]
-    for k in range(len(curve)):
-        theta = 2.0 * np.pi * k / len(curve)
-        p = curve.points[k]
-        t = curve.tangents[k]
-        lines.append(
-            f"{_fmt(theta)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(t.real)},{_fmt(t.imag)}"
-        )
+    for theta, p, t in zip(_angles(len(curve)).tolist(), curve.points.tolist(), curve.tangents.tolist()):
+        lines.append(f"{_fmt(theta)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(t.real)},{_fmt(t.imag)}")
     _write_text(cfg.output_dir / "curve.csv", "\n".join(lines) + "\n")
     print(f"wrote {cfg.output_dir / 'curve.csv'} ({len(curve)} samples)")
     try:

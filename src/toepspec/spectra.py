@@ -34,8 +34,9 @@ class Rect:
     im_min: float
     im_max: float
 
-    def is_empty(self) -> bool:
-        return not (self.re_min < self.re_max and self.im_min < self.im_max)
+    def is_valid(self) -> bool:
+        """min < max, with a width and height that are finite doubles."""
+        return all(0 < e < math.inf for e in (self.re_max - self.re_min, self.im_max - self.im_min))
 
 
 @dataclass(frozen=True)
@@ -69,17 +70,14 @@ def pseudospectrum(
     nx, ny = int(nx), int(ny)
     if nx < 2 or ny < 2:
         raise ValueError("grid resolution must be at least 2 x 2")
-    if region.is_empty():
-        raise ValueError(f"empty region: {region}")
-    res = np.linspace(region.re_min, region.re_max, nx)
-    ims = np.linspace(region.im_min, region.im_max, ny)
-    sig = np.empty((ny, nx))
-    for q, im in enumerate(ims):
+    if not region.is_valid():
+        raise ValueError(f"region needs a finite, positive width and height: {region}")
+    field = PseudospectrumField(region, nx, ny, sigma_min=np.empty((ny, nx)), section_order=a.order)
+    res = field.re_values()
+    for q, im in enumerate(field.im_values()):
         for p, re in enumerate(res):
-            sig[q, p] = smallest_singular_value(a.entries, complex(re, im))
-    return PseudospectrumField(
-        region=region, nx=nx, ny=ny, sigma_min=sig, section_order=a.order
-    )
+            field.sigma_min[q, p] = smallest_singular_value(a.entries, complex(re, im))
+    return field
 
 
 class Component(enum.Enum):
@@ -310,23 +308,19 @@ def resolvent_growth_fit(
     return ResolventFit(p_hat=-float(slope), c_hat=float(math.exp(intercept)))
 
 
-def points_at_distance(
-    curve: SymbolCurve,
-    dists: Sequence[float],
-    n_angles: int = 8,
-) -> list[complex]:
+def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[complex]:
     """Deterministic outer-component points at prescribed spectrum distances.
 
     Target i gets the ray from the curve centroid at angle 2 pi i / len(dists)
-    + pi / (2 n_angles); all rays are bisected together until the distance to
-    the filled spectrum matches the targets.
+    + pi / 16; all rays are bisected together until the distance to the
+    filled spectrum matches the targets.
     """
     from .analysis import dist_to_spectrum
 
     centroid = complex(np.mean(curve.points))
     r_outer = float(np.max(np.abs(curve.points - centroid)))
     d = np.array(dists, dtype=float)
-    angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / (2 * n_angles) for i in range(len(d))]
+    angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / 16 for i in range(len(d))]
     direction = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
     t_lo = np.zeros(len(d))
     t_hi = r_outer + d + 1.0

@@ -2,8 +2,10 @@
 
 A symbol is stored through its Fourier coefficients b_j, j in [-m, n]:
 b_j = f_j for j >= 1, b_{-j} = conj(g_j) for j >= 1, and b_0 = f_0 + conj(g_0).
-The module also provides the sampled boundary curve gamma = phi(T) together
-with winding numbers and geometric (Jordan / cusp) diagnostics.
+phi, dphi/dtheta and the harmonic extension are one sum, sum_j w(j) b_j
+e^{ij theta}, taken over an array of angles at once.  The module also provides
+the sampled boundary curve gamma = phi(T) together with winding numbers and
+geometric (Jordan / cusp) diagnostics.
 """
 
 from __future__ import annotations
@@ -61,10 +63,8 @@ class HarmonicSymbol:
             if not abs(complex(v)) < _SQRT_TINY
         }
         object.__setattr__(self, "coeffs", clean)
-        neg = [-j for j in clean if j < 0]
-        pos = [j for j in clean if j > 0]
-        object.__setattr__(self, "m", max(neg) if neg else 0)
-        object.__setattr__(self, "n", max(pos) if pos else 0)
+        object.__setattr__(self, "m", max((-j for j in clean if j < 0), default=0))
+        object.__setattr__(self, "n", max((j for j in clean if j > 0), default=0))
 
     def __getitem__(self, j: int) -> complex:
         return self.coeffs.get(j, 0j)
@@ -77,18 +77,12 @@ class HarmonicSymbol:
     def is_constant(self) -> bool:
         return all(j == 0 for j in self.coeffs)
 
-    def indices(self) -> list[int]:
-        """Coefficient indices in increasing order."""
-        return sorted(self.coeffs)
-
-    def eval_boundary(self, theta: float) -> complex:
-        """Boundary value sum_j b_j e^{ij theta}."""
-        if not math.isfinite(theta):
+    def eval_boundary(self, theta: float | np.ndarray) -> complex | np.ndarray:
+        """Boundary value sum_j b_j e^{ij theta} at one angle (gives a
+        complex) or a 1-D array of angles (gives an array)."""
+        if not np.all(np.isfinite(theta)):
             raise ValueError("theta must be finite")
-        total = 0j
-        for j in self.indices():
-            total += self.coeffs[j] * cmath.exp(1j * j * theta)
-        return total
+        return _fourier_sum(self, theta)
 
     def eval_disk(self, z: complex) -> complex:
         """Harmonic extension at |z| < 1: sum_j b_j r^{|j|} e^{ij theta}."""
@@ -97,17 +91,12 @@ class HarmonicSymbol:
         if r >= 1.0:
             raise ValueError(f"eval_disk requires |z| < 1, got |z| = {r}")
         theta = cmath.phase(z) if r > 0 else 0.0
-        total = 0j
-        for j in self.indices():
-            total += self.coeffs[j] * r ** abs(j) * cmath.exp(1j * j * theta)
-        return total
+        return _fourier_sum(self, theta, lambda j: r ** abs(j))
 
-    def boundary_tangent(self, theta: float) -> complex:
-        """d phi / d theta = sum_j (ij) b_j e^{ij theta}."""
-        total = 0j
-        for j in self.indices():
-            total += 1j * j * self.coeffs[j] * cmath.exp(1j * j * theta)
-        return total
+    def boundary_tangent(self, theta: float | np.ndarray) -> complex | np.ndarray:
+        """d phi / d theta = sum_j (ij) b_j e^{ij theta}; ``theta`` as in
+        ``eval_boundary``."""
+        return _fourier_sum(self, theta, lambda j: 1j * j)
 
     def derivative_norm_sq(self) -> float:
         """||phi'||_2^2 = sum_l l^2 |b_l|^2 (probability Haar measure)."""
@@ -123,9 +112,7 @@ class HarmonicSymbol:
         return self.wiener_norm()
 
 
-def from_parts(
-    f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]
-) -> HarmonicSymbol:
+def from_parts(f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]) -> HarmonicSymbol:
     """Build the symbol phi = conj(g) + f from Taylor coefficients of f, g.
 
     Empty inputs give the zero symbol.  The constant terms merge:
@@ -141,6 +128,27 @@ def from_parts(
     return HarmonicSymbol(coeffs)
 
 
+def _fourier_sum(s: HarmonicSymbol, theta, weight=None) -> complex | np.ndarray:
+    """sum_j w(j) b_j e^{ij theta}, j increasing (w = 1 when ``weight`` is None),
+    at one angle (gives a complex) or an array of angles (gives an array).
+    Each term is multiplied out in real arithmetic, as CPython multiplies
+    complex numbers (numpy's complex multiply may fuse multiply-adds), so it
+    rounds as a scalar ``cmath`` sum wherever np.cos and np.sin round as libm."""
+    t = np.atleast_1d(np.asarray(theta, dtype=float))
+    re = im = np.zeros(t.shape)
+    for j in sorted(s.coeffs):
+        w = s.coeffs[j] if weight is None else weight(j) * s.coeffs[j]
+        cos, sin = np.cos(j * t), np.sin(j * t)
+        re, im = re + (w.real * cos - w.imag * sin), im + (w.real * sin + w.imag * cos)
+    out = re.astype(complex)
+    out.imag = im
+    return complex(out[0]) if np.ndim(theta) == 0 else out
+
+
+def _angles(M: int) -> np.ndarray:
+    return 2.0 * np.pi * np.arange(M) / M
+
+
 @dataclass(frozen=True)
 class SymbolCurve:
     """Uniform-angle samples of the closed curve gamma = phi(T).
@@ -153,10 +161,9 @@ class SymbolCurve:
     tangents: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "points", np.asarray(self.points, dtype=complex))
-        object.__setattr__(self, "tangents", np.asarray(self.tangents, dtype=complex))
-        self.points.setflags(write=False)
-        self.tangents.setflags(write=False)
+        for name in ("points", "tangents"):
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
+            getattr(self, name).setflags(write=False)
 
     def __len__(self) -> int:
         return len(self.points)
@@ -234,10 +241,8 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     min_m = max(64, 16 * (s.m + s.n + 1))
     if M < min_m:
         raise ValueError(f"M = {M} too small; need M >= {min_m}")
-    thetas = [2.0 * math.pi * k / M for k in range(M)]
-    points = np.array([s.eval_boundary(t) for t in thetas], dtype=complex)
-    tangents = np.array([s.boundary_tangent(t) for t in thetas], dtype=complex)
-    return SymbolCurve(points=points, tangents=tangents)
+    thetas = _angles(M)
+    return SymbolCurve(points=s.eval_boundary(thetas), tangents=s.boundary_tangent(thetas))
 
 
 def winding_number(c: SymbolCurve, lam: complex) -> int:

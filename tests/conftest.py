@@ -1,5 +1,5 @@
 """Shared test plumbing: a header with the BLAS set-up, acceptance-gate
-summary lines and a fixture that makes the LAPACK eigensolver fail.
+summary lines and fixtures that make the LAPACK eigensolver or SVD fail.
 
 The acceptance tests register one entry per criterion; printing happens in
 the terminal summary so the PASS/FAIL lines survive pytest's output capture
@@ -57,3 +57,13 @@ def eigvals_fails_at(monkeypatch):
         monkeypatch.setattr(np.linalg, "eigvals", eigvals)
 
     return arm
+
+
+@pytest.fixture
+def svd_fails(monkeypatch):
+    """Make every LAPACK singular value call raise LinAlgError."""
+
+    def svd(*args, **kwargs):
+        raise np.linalg.LinAlgError("SVD did not converge")
+
+    monkeypatch.setattr(np.linalg, "svd", svd)

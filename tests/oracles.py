@@ -3,13 +3,15 @@
 These deliberately avoid the library's own code paths: characteristic
 polynomials via Leverrier-Faddeev in extended precision, root solving via
 the companion matrix (numpy.roots), brute-force series summation, dense
-section assembly, and decimal arithmetic.  ``scalar_points_at_distance`` is
-the exception: it keeps the one-ray-at-a-time bisection that the vectorised
-one must reproduce.
+section assembly, and decimal arithmetic.  ``scalar_points_at_distance`` and
+``scalar_sample_curve`` are the exceptions: they keep the one-ray-at-a-time
+bisection and the one-angle-at-a-time ``cmath`` sum that the vectorised
+code must reproduce.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 
 import numpy as np
@@ -113,6 +115,33 @@ def random_symbol(rng: np.random.Generator, max_deg: int = 6, amp: float = 0.9):
     f = [amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2) for _ in range(n + 1)]
     g = [amp * (rng.uniform(-1, 1) + 1j * rng.uniform(-1, 1)) / np.sqrt(2) for _ in range(m + 1)]
     return from_parts(f, g)
+
+
+def nonconstant_seed0_symbols(count: int) -> list:
+    """The first ``count`` non-constant ``random_symbol`` draws from seed 0,
+    the symbols of the benchmark's curve-hs workload."""
+    rng, out = np.random.default_rng(0), []
+    while len(out) < count:
+        s = random_symbol(rng)
+        if not s.is_constant:
+            out.append(s)
+    return out
+
+
+def scalar_sample_curve(s, M: int) -> tuple[np.ndarray, np.ndarray]:
+    """Points phi(e^{i theta_k}) and tangents dphi/dtheta at theta_k =
+    2 pi k / M, one angle and one coefficient at a time in ``cmath``: the
+    sum b_j e^{ij theta} (times ij for the tangent) over increasing j."""
+    points, tangents = [], []
+    for k in range(M):
+        theta = 2.0 * math.pi * k / M
+        p = t = 0j
+        for j in sorted(s.coeffs):
+            p += s.coeffs[j] * cmath.exp(1j * j * theta)
+            t += 1j * j * s.coeffs[j] * cmath.exp(1j * j * theta)
+        points.append(p)
+        tangents.append(t)
+    return np.array(points, dtype=complex), np.array(tangents, dtype=complex)
 
 
 def min_self_distance(points) -> float:

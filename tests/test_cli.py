@@ -1,6 +1,9 @@
 import json
+import math
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from toepspec import cli
 
@@ -36,6 +39,51 @@ FEW_SAMPLES = {
     "symbol": {"f": [[0, 0], [0, 0], [0, 0], [1, 0]], "g": [[0, 0], [0.8, 0]]},
     "curve_samples": 64,
 }
+
+
+# Finite bounds whose width overflows a double.
+OVERFLOW_REGION = {
+    "symbol": {"f": [[0, 0], [1, 0]]},
+    "region": {"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
+}
+
+# Finite parts whose modulus |b_1| overflows, and finite f_0, g_0 whose sum
+# b_0 = f_0 + conj(g_0) does.
+HUGE_MODULUS = {"symbol": {"f": [[0, 0], [1.7e308, 1.7e308]]}}
+HUGE_CONSTANT = {"symbol": {"f": [[1e308, 0]], "g": [[1e308, 0]]}}
+
+# Every field set, each to a value the parser accepts.
+VALID = dict(
+    BASE,
+    region={"re_min": -2, "re_max": 2, "im_min": -1, "im_max": 1},
+    grid={"nx": 4, "ny": 3},
+    epsilon=0.5,
+    tolerances={"delta_curve": 0.05, "drift_tol": 1e-3, "cert_tol": 1e-5, "series_tol": 1e-7},
+    curve_samples=128,
+    section_kind="ht",
+    section_order=30,
+    output_dir="out",
+)
+
+# Any JSON value: null, booleans, integers beyond the double range, any float
+# (NaN, +-inf, +-1e308 included), short text, and nested lists and objects
+# whose keys are often the config's own.
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(10**400), max_value=10**400)
+    | st.floats()
+    | st.sampled_from([1e308, -1e308])
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(
+        st.sampled_from(["f", "g", "re_min", "re_max", "im_min", "im_max", "nx", "ny", "series_tol"])
+        | st.text(max_size=4),
+        inner,
+        max_size=5,
+    ),
+    max_leaves=12,
+)
 
 
 class TestConfigParsing:
@@ -79,11 +127,29 @@ class TestConfigParsing:
             HUGE,
             BELOW_FLOOR,
             FEW_SAMPLES,
+            OVERFLOW_REGION,
+            HUGE_MODULUS,
+            HUGE_CONSTANT,
         ],
     )
     def test_rejects_malformed(self, doc):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(doc)
+
+    @given(key=st.sampled_from(sorted(VALID)), value=JSON_VALUES)
+    @example(key="region", value=OVERFLOW_REGION["region"])
+    @example(key="symbol", value=HUGE_MODULUS["symbol"])
+    @example(key="symbol", value=HUGE_CONSTANT["symbol"])
+    @settings(max_examples=300, deadline=None)
+    def test_one_field_replaced_parses_or_raises_config_error(self, key, value):
+        try:
+            cfg = cli.parse_config(dict(VALID, **{key: value}))
+        except cli.ConfigError:
+            return
+        assert isinstance(cfg, cli.RunConfig)
+        if cfg.region is not None:
+            r = cfg.region
+            assert math.isfinite(r.re_max - r.re_min) and math.isfinite(r.im_max - r.im_min)
 
 
 class TestExitCodes:
@@ -134,21 +200,23 @@ class TestExitCodes:
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path, "--svd-check"]) == cli.EXIT_USAGE
 
-    def test_svd_failure(self, tmp_path, capsys):
-        # the region's width overflows a double, so the grid holds NaN nodes
+    def test_svd_failure(self, tmp_path, capsys, svd_fails):
         doc = dict(
             BASE,
-            region={"re_min": -1e308, "re_max": 1e308, "im_min": -1, "im_max": 1},
+            region={"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1},
             grid={"nx": 2, "ny": 2},
             section_order=8,
             output_dir=str(tmp_path),
         )
-        with pytest.warns(RuntimeWarning) as caught:
-            code = cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)])
+        code = cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)])
         assert code == cli.EXIT_NO_CONVERGENCE
-        assert any("overflow" in str(w.message) for w in caught)
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and err.count("\n") == 1
+
+    def test_overflowing_region(self, tmp_path, capsys):
+        doc = dict(OVERFLOW_REGION, grid={"nx": 2, "ny": 2}, section_order=8, output_dir=str(tmp_path))
+        assert cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)]) == cli.EXIT_USAGE
+        assert "field 'region'" in capsys.readouterr().err
 
     def test_report_needs_three_rungs(self, tmp_path):
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40], output_dir=str(tmp_path)))

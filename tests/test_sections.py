@@ -14,6 +14,7 @@ from oracles import (
     dense_section,
     inner_tail_integral_decimal,
     long_k_series,
+    nonconstant_seed0_symbols,
     random_symbol,
 )
 from toepspec.cli import load_config
@@ -33,19 +34,8 @@ BAND_SYMBOLS = [
 SECTION_BUILDERS = [("ht", ts.ht_section), ("bt", ts.bt_section)]
 
 
-def _nonconstant_seed0_symbols(count):
-    """The first ``count`` non-constant ``random_symbol`` draws from seed 0,
-    the symbols of the benchmark's curve-hs workload."""
-    rng, out = np.random.default_rng(0), []
-    while len(out) < count:
-        s = random_symbol(rng)
-        if not s.is_constant:
-            out.append(s)
-    return out
-
-
 SERIES_CASES = [
-    *((f"seed0-{k}", s, 1e-12) for k, s in enumerate(_nonconstant_seed0_symbols(8))),
+    *((f"seed0-{k}", s, 1e-12) for k, s in enumerate(nonconstant_seed0_symbols(8))),
     ("ellipse", BAND_SYMBOLS[0], 1e-8),
     ("mixed", BAND_SYMBOLS[1], 1e-8),
 ]
@@ -185,7 +175,7 @@ class TestHSDifference:
 
     @pytest.mark.parametrize(
         "s,tol",
-        [(_nonconstant_seed0_symbols(1)[0], 1e-12), (ts.from_parts([0, 1000], []), 1e-9)],
+        [(nonconstant_seed0_symbols(1)[0], 1e-12), (ts.from_parts([0, 1000], []), 1e-9)],
         ids=["curve-hs-first", "f=[0,1000]"],
     )
     def test_series_memory(self, s, tol):

@@ -30,6 +30,15 @@ class TestPseudospectrum:
         with pytest.raises(ValueError):
             ts.pseudospectrum(sec, ts.Rect(1, 0, 0, 1), 3, 3)
 
+    @pytest.mark.parametrize(
+        "region",
+        [ts.Rect(-1e308, 1e308, -1, 1), ts.Rect(-1, 1, -1e308, 1e308), ts.Rect(0, float("nan"), 0, 1)],
+    )
+    def test_overflowing_or_nan_region_rejected(self, region):
+        sec = ts.ht_section(ts.HarmonicSymbol({1: 1}), 3)
+        with pytest.raises(ValueError, match="finite, positive width and height"):
+            ts.pseudospectrum(sec, region, 2, 2)
+
 
 class TestChaining:
     def test_persistent_point_chains(self):

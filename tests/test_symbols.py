@@ -1,5 +1,6 @@
 import cmath
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -7,8 +8,21 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from oracles import min_self_distance, random_symbol
+from oracles import min_self_distance, nonconstant_seed0_symbols, random_symbol, scalar_sample_curve
+from toepspec.cli import load_config
 from toepspec.symbols import _segment_distances
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+_rng = np.random.default_rng(0)
+CURVE_SYMBOLS = [
+    *nonconstant_seed0_symbols(8),
+    load_config(str(CONFIGS / "ellipse.json")).symbol,
+    load_config(str(CONFIGS / "mixed.json")).symbol,
+    ts.HarmonicSymbol({1: 1, -1: 1}),
+    ts.HarmonicSymbol({2: 1}),
+    ts.HarmonicSymbol({0: 2 + 1j}),
+    *(random_symbol(_rng) for _ in range(12)),
+]
 
 
 def complex_coeffs(max_deg=4):
@@ -108,6 +122,41 @@ class TestSampleCurve:
             ts.sample_curve(ts.HarmonicSymbol({1: 1}), 32)
         with pytest.raises(ValueError):
             ts.sample_curve(ts.HarmonicSymbol({5: 1}), 64)  # needs 16*(5+1)
+
+
+class TestArrayEvaluation:
+    @pytest.mark.parametrize("M", [64, 512, 2048])
+    def test_sample_curve_matches_scalar_oracle(self, M):
+        # not bitwise: np.cos and np.sin need not round as libm does
+        eps = np.finfo(float).eps
+        cases = 0
+        for s in CURVE_SYMBOLS:
+            if M < max(64, 16 * (s.m + s.n + 1)):
+                continue
+            c = ts.sample_curve(s, M)
+            points, tangents = scalar_sample_curve(s, M)
+            point_tol = 4 * eps * sum(abs(v) for v in s.coeffs.values())
+            tangent_tol = 4 * eps * sum(abs(1j * j * v) for j, v in s.coeffs.items())
+            assert np.all(np.abs(c.points - points) <= point_tol), (s.coeffs, M)
+            assert np.all(np.abs(c.tangents - tangents) <= tangent_tol), (s.coeffs, M)
+            cases += 1
+        assert cases >= 5  # M = 64 admits only symbols with m + n <= 3
+
+    def test_array_forms_equal_scalar_forms(self):
+        thetas = np.concatenate([np.linspace(0, 2 * math.pi, 33), np.random.default_rng(3).uniform(-20, 20, 32)])
+        for s in CURVE_SYMBOLS:
+            for fn in (s.eval_boundary, s.boundary_tangent):
+                got = fn(thetas)
+                assert isinstance(got, np.ndarray) and got.shape == thetas.shape
+                one_by_one = [fn(t) for t in thetas.tolist()]
+                assert all(type(v) is complex for v in one_by_one)
+                assert got.tolist() == one_by_one, s.coeffs
+
+    def test_nonfinite_angle_in_array_rejected(self):
+        s = ts.HarmonicSymbol({1: 1, -1: 0.5})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError):
+                s.eval_boundary(np.array([0.0, bad, 1.0]))
 
 
 class TestWindingNumber:
