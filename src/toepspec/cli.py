@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -29,13 +29,14 @@ from .sections import (
     ht_section,
     series_tol_floor,
 )
-from .spectra import DetectOptions, Rect, pseudospectrum
+from .spectra import Rect, pseudospectrum
 from .symbols import (
     DegenerateCurveError,
     HarmonicSymbol,
     _angles,
     curve_diagnostics,
     from_parts,
+    min_curve_samples,
     sample_curve,
 )
 
@@ -54,38 +55,22 @@ def _fmt(x: float) -> str:
     return f"{x:.17g}"
 
 
+# Upper bounds on integer fields, far above any practical run: a larger
+# value exits 64 here instead of failing inside numpy.
+MAX_ORDER = 2**15  # ladder rungs, section_order, grid nx and ny
+MAX_SAMPLES = 2**20  # curve_samples
+
+
 @dataclass
 class RunConfig:
     symbol: HarmonicSymbol
-    ladder: list[int] = field(default_factory=lambda: [200, 400, 800])
+    report: ReportOptions = ReportOptions()
     region: Rect | None = None
     nx: int = 32
     ny: int = 32
-    epsilon: float = 0.01
-    delta_curve: float | None = None
-    drift_tol: float | None = None
-    cert_tol: float | None = None
-    series_tol: float = 1e-8
-    curve_samples: int | None = None
     section_kind: str = "bt"
     section_order: int | None = None
     output_dir: Path = Path(".")
-
-    def detect_options(self) -> DetectOptions:
-        return DetectOptions(
-            delta_curve=self.delta_curve,
-            drift_tol=self.drift_tol,
-            cert_tol=self.cert_tol,
-            curve_samples=self.curve_samples,
-        )
-
-    def report_options(self) -> ReportOptions:
-        return ReportOptions(
-            ladder=tuple(self.ladder),
-            epsilon=self.epsilon,
-            series_tol=self.series_tol,
-            detect=self.detect_options(),
-        )
 
 
 def _is_int(v: object) -> bool:
@@ -108,11 +93,7 @@ def _coeff_list(raw: object, name: str) -> list[complex]:
         raise ConfigError(f"field '{name}' must be a list of [re, im] pairs")
     out: list[complex] = []
     for k, pair in enumerate(raw):
-        if (
-            not isinstance(pair, (list, tuple))
-            or len(pair) != 2
-            or not all(_is_finite(v) for v in pair)
-        ):
+        if not isinstance(pair, (list, tuple)) or len(pair) != 2 or not all(_is_finite(v) for v in pair):
             raise ConfigError(f"field '{name}[{k}]' must be an [re, im] pair of finite numbers")
         out.append(complex(pair[0], pair[1]))
     return out
@@ -124,7 +105,24 @@ def _positive(value: object, name: str) -> float:
     return float(value)
 
 
+def _bounded_int(value: object, name: str, least: int, most: int) -> int:
+    if not _is_int(value) or not least <= value <= most:
+        raise ConfigError(f"field '{name}' must be an integer >= {least} and <= {most}")
+    return value
+
+
+def _checked_series_tol(s: HarmonicSymbol, tol: float) -> float:
+    """``tol`` if ``hs_difference_sq_series`` accepts it, else ConfigError."""
+    floor = series_tol_floor(s)
+    if tol < floor:
+        raise ConfigError(f"field 'tolerances.series_tol' must be >= {floor:.3g}, 4 eps ||phi'||_2^2")
+    return tol
+
+
 def parse_config(doc: dict) -> RunConfig:
+    """Validate ``doc``; unset options keep the defaults of ``ReportOptions``
+    and ``DetectOptions``.  An explicit series_tol must clear the symbol's
+    floor here; the default one is checked only where the series is summed."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be a JSON object")
     if "symbol" not in doc or not isinstance(doc["symbol"], dict):
@@ -139,64 +137,56 @@ def parse_config(doc: dict) -> RunConfig:
         norms = (math.inf,)
     if not all(math.isfinite(v) for v in norms):
         raise ConfigError("field 'symbol' is too large: sum |b_j| or ||phi'||_2^2 is not a finite double")
-
+    report, detect = {}, {}  # ReportOptions and DetectOptions fields set by the document
     if "ladder" in doc:
         ladder = doc["ladder"]
         if (
             not isinstance(ladder, list)
             or not ladder
-            or not all(_is_int(n) and n >= 1 for n in ladder)
+            or not all(_is_int(n) and 1 <= n <= MAX_ORDER for n in ladder)
             or any(b <= a for a, b in zip(ladder, ladder[1:]))
         ):
-            raise ConfigError("field 'ladder' must be a strictly increasing list of positive integers")
-        cfg.ladder = list(ladder)
+            raise ConfigError(f"field 'ladder' must be strictly increasing integers >= 1 and <= {MAX_ORDER}")
+        report["ladder"] = tuple(ladder)
     if "region" in doc:
         reg = doc["region"]
         keys = ("re_min", "re_max", "im_min", "im_max")
-        if not isinstance(reg, dict) or not all(
-            _is_finite(reg.get(k)) for k in keys
-        ):
+        if not isinstance(reg, dict) or not all(_is_finite(reg.get(k)) for k in keys):
             raise ConfigError("field 'region' must contain finite numbers re_min, re_max, im_min, im_max")
         cfg.region = Rect(*(float(reg[k]) for k in keys))
         if not cfg.region.is_valid():
             raise ConfigError("field 'region' needs min < max and a width and height that are finite doubles")
     if "grid" in doc:
         grid = doc["grid"]
-        if not isinstance(grid, dict) or not all(
-            _is_int(grid.get(k)) and grid.get(k) >= 2 for k in ("nx", "ny")
-        ):
-            raise ConfigError("field 'grid' must contain integers nx, ny >= 2")
-        cfg.nx, cfg.ny = grid["nx"], grid["ny"]
+        if not isinstance(grid, dict):
+            raise ConfigError("field 'grid' must be an object with integers nx, ny")
+        cfg.nx, cfg.ny = (_bounded_int(grid.get(k), f"grid.{k}", 2, MAX_ORDER) for k in ("nx", "ny"))
     if "epsilon" in doc:
-        cfg.epsilon = _positive(doc["epsilon"], "epsilon")
+        report["epsilon"] = _positive(doc["epsilon"], "epsilon")
     tols = doc.get("tolerances", {})
     if not isinstance(tols, dict):
         raise ConfigError("field 'tolerances' must be an object")
-    for key in ("delta_curve", "drift_tol", "cert_tol", "series_tol"):
+    for key in ("delta_curve", "drift_tol", "cert_tol"):
         if key in tols:
-            setattr(cfg, key, _positive(tols[key], f"tolerances.{key}"))
-    floor = series_tol_floor(cfg.symbol)
-    if cfg.series_tol < floor:
-        raise ConfigError(f"field 'tolerances.series_tol' must be >= {floor:.3g}, 4 eps ||phi'||_2^2")
+            detect[key] = _positive(tols[key], f"tolerances.{key}")
+    if "series_tol" in tols:
+        tol = _positive(tols["series_tol"], "tolerances.series_tol")
+        report["series_tol"] = _checked_series_tol(cfg.symbol, tol)
     if "curve_samples" in doc:
-        least = max(64, 16 * (cfg.symbol.m + cfg.symbol.n + 1))  # sample_curve's minimum
-        if not _is_int(doc["curve_samples"]) or doc["curve_samples"] < least:
-            raise ConfigError(f"field 'curve_samples' must be an integer >= {least}")
-        cfg.curve_samples = doc["curve_samples"]
+        least = min_curve_samples(cfg.symbol)
+        detect["curve_samples"] = _bounded_int(doc["curve_samples"], "curve_samples", least, MAX_SAMPLES)
     if "section_kind" in doc:
         kind = doc["section_kind"]
         if kind not in ("ht", "bt"):
             raise ConfigError("field 'section_kind' must be 'ht' or 'bt'")
         cfg.section_kind = kind
     if "section_order" in doc:
-        so = doc["section_order"]
-        if not _is_int(so) or so < 1:
-            raise ConfigError("field 'section_order' must be a positive integer")
-        cfg.section_order = so
+        cfg.section_order = _bounded_int(doc["section_order"], "section_order", 1, MAX_ORDER)
     if "output_dir" in doc:
         if not isinstance(doc["output_dir"], str):
             raise ConfigError("field 'output_dir' must be a string path")
         cfg.output_dir = Path(doc["output_dir"])
+    cfg.report = replace(cfg.report, detect=replace(cfg.report.detect, **detect), **report)
     return cfg
 
 
@@ -217,15 +207,20 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _section(cfg: RunConfig, order: int):
+    return (bt_section if cfg.section_kind == "bt" else ht_section)(cfg.symbol, order)
+
+
 def cmd_hs_check(cfg: RunConfig) -> int:
     s = cfg.symbol
-    for n in cfg.ladder:
+    tol = _checked_series_tol(s, cfg.report.series_tol)
+    for n in cfg.report.ladder:
         print(f"hs_truncated N={n}: {_fmt(hs_difference_sq_truncated(s, n))}")
-    series = hs_difference_sq_series(s, cfg.series_tol)
+    series = hs_difference_sq_series(s, tol)
     bound = hs_bound(s)
     print(f"hs_series: {_fmt(series.value)} (tail bound {_fmt(series.tail_bound)})")
     print(f"hs_bound:  {_fmt(bound)}")
-    if series.value <= bound + cfg.series_tol:
+    if series.value <= bound + tol:
         print("bound check: PASS")
         return EXIT_OK
     print("bound check: FAIL")
@@ -233,12 +228,10 @@ def cmd_hs_check(cfg: RunConfig) -> int:
 
 
 def cmd_spectrum(cfg: RunConfig) -> int:
-    s = cfg.symbol
     out = cfg.output_dir
     code = EXIT_OK
-    build = bt_section if cfg.section_kind == "bt" else ht_section
-    for n in cfg.ladder:
-        res = eigenvalues(build(s, n).entries)
+    for n in cfg.report.ladder:
+        res = eigenvalues(_section(cfg, n).entries)
         if not res.converged:
             print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE
@@ -252,10 +245,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
     if cfg.region is None:
         raise ConfigError("field 'region' is required for pseudospectrum")
-    s = cfg.symbol
-    order = cfg.section_order or cfg.ladder[-1]
-    build = bt_section if cfg.section_kind == "bt" else ht_section
-    section = build(s, order)
+    order = cfg.section_order or cfg.report.ladder[-1]
+    section = _section(cfg, order)
     fieldvals = pseudospectrum(section, cfg.region, cfg.nx, cfg.ny)
     lines = ["re,im,sigma_min"]
     res = fieldvals.re_values()
@@ -277,9 +268,10 @@ def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
 
 
 def cmd_report(cfg: RunConfig) -> int:
-    if len(cfg.ladder) < 3:
+    if len(cfg.report.ladder) < 3:
         raise ConfigError("field 'ladder' needs at least 3 rungs for report")
-    report = build_report(cfg.symbol, cfg.report_options())
+    _checked_series_tol(cfg.symbol, cfg.report.series_tol)
+    report = build_report(cfg.symbol, cfg.report)
     _write_text(cfg.output_dir / "report.json", report.to_json() + "\n")
     print(report.summary())
     print(f"wrote {cfg.output_dir / 'report.json'}")
@@ -289,7 +281,7 @@ def cmd_report(cfg: RunConfig) -> int:
 
 
 def cmd_curve(cfg: RunConfig) -> int:
-    curve = sample_curve(cfg.symbol, cfg.curve_samples)
+    curve = sample_curve(cfg.symbol, cfg.report.detect.curve_samples)
     lines = ["theta,re,im,tangent_re,tangent_im"]
     for theta, p, t in zip(_angles(len(curve)).tolist(), curve.points.tolist(), curve.tangents.tolist()):
         lines.append(f"{_fmt(theta)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(t.real)},{_fmt(t.imag)}")

@@ -231,14 +231,19 @@ def _segment_distances(
     return d
 
 
+def min_curve_samples(s: HarmonicSymbol) -> int:
+    """Fewest samples that resolve the highest frequency: max(64, 16 (m + n + 1))."""
+    return max(64, 16 * (s.m + s.n + 1))
+
+
 def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     """Sample gamma = phi(T) at M uniform angles with analytic tangents.
 
-    Requires M >= 64 and M >= 16 (m + n + 1) so the polyline resolves the
-    highest frequency present; M defaults to max(256, 16 (m + n + 1)).
+    Requires M >= ``min_curve_samples(s)``; M defaults to the larger of 256
+    and that minimum.
     """
-    M = max(256, 16 * (s.m + s.n + 1)) if M is None else int(M)
-    min_m = max(64, 16 * (s.m + s.n + 1))
+    min_m = min_curve_samples(s)
+    M = max(256, min_m) if M is None else int(M)
     if M < min_m:
         raise ValueError(f"M = {M} too small; need M >= {min_m}")
     thetas = _angles(M)

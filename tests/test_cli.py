@@ -8,6 +8,12 @@ from hypothesis import strategies as st
 from toepspec import cli
 
 
+@pytest.fixture(scope="session")
+def session_dir(tmp_path_factory):
+    """A temporary directory for hypothesis tests, which reject ``tmp_path``."""
+    return tmp_path_factory.mktemp("session")
+
+
 def write_config(tmp_path, doc):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -40,6 +46,27 @@ FEW_SAMPLES = {
     "curve_samples": 64,
 }
 
+# Integers above their bounds, as (document, field, limit): 2^15 for ladder
+# rungs, section orders and grid sides, 2^20 for curve samples.
+TOO_LARGE = [
+    ({"symbol": {"f": []}, "ladder": [1, 2, 2**15 + 1]}, "ladder", 2**15),
+    ({"symbol": {"f": []}, "ladder": [1, 2, 10**30]}, "ladder", 2**15),
+    ({"symbol": {"f": []}, "section_order": 2**15 + 1}, "section_order", 2**15),
+    ({"symbol": {"f": []}, "grid": {"nx": 2**15 + 1, "ny": 2}}, "grid.nx", 2**15),
+    ({"symbol": {"f": []}, "grid": {"nx": 2, "ny": 10**30}}, "grid.ny", 2**15),
+    ({"symbol": {"f": []}, "curve_samples": 2**20 + 1}, "curve_samples", 2**20),
+    ({"symbol": {"f": []}, "curve_samples": 10**30}, "curve_samples", 2**20),
+]
+
+# ||phi'||_2^2 = 2.5e7: the default series_tol 1e-8 is below the floor
+# 4 eps 2.5e7 = 2.22e-8, which only matters where the series is summed.
+DEFAULT_BELOW_FLOOR = {
+    "symbol": {"f": [[0, 0], [5000, 0]]},
+    "ladder": [20, 40, 60],
+    "region": {"re_min": -1, "re_max": 1, "im_min": -1, "im_max": 1},
+    "grid": {"nx": 2, "ny": 2},
+    "section_order": 8,
+}
 
 # Finite bounds whose width overflows a double.
 OVERFLOW_REGION = {
@@ -90,7 +117,7 @@ class TestConfigParsing:
     def test_minimal(self):
         cfg = cli.parse_config({"symbol": {"f": [[0, 0], [1, 0]]}})
         assert cfg.symbol.coeffs == {1: 1}
-        assert cfg.ladder == [200, 400, 800]
+        assert cfg.report.ladder == (200, 400, 800)
 
     def test_g_conjugated(self):
         cfg = cli.parse_config({"symbol": {"g": [[0, 0], [0, 1]]}})
@@ -110,7 +137,7 @@ class TestConfigParsing:
         )
         cfg = cli.parse_config(doc)
         assert cfg.nx == 4 and cfg.ny == 3
-        assert cfg.cert_tol == 1e-5 and cfg.series_tol == 1e-7
+        assert cfg.report.detect.cert_tol == 1e-5 and cfg.report.series_tol == 1e-7
         assert cfg.section_kind == "ht" and cfg.section_order == 30
 
     @pytest.mark.parametrize(
@@ -130,11 +157,29 @@ class TestConfigParsing:
             OVERFLOW_REGION,
             HUGE_MODULUS,
             HUGE_CONSTANT,
+            *(doc for doc, _, _ in TOO_LARGE),
         ],
     )
     def test_rejects_malformed(self, doc):
         with pytest.raises(cli.ConfigError):
             cli.parse_config(doc)
+
+    @pytest.mark.parametrize("doc,name,limit", TOO_LARGE)
+    def test_too_large_names_field_and_limit(self, doc, name, limit):
+        with pytest.raises(cli.ConfigError, match=f"'{name}' must be .*<= {limit}$"):
+            cli.parse_config(doc)
+
+    def test_accepts_integers_at_their_bounds(self):
+        doc = {
+            "symbol": {"f": []},
+            "ladder": [1, 2, 2**15],
+            "grid": {"nx": 2**15, "ny": 2**15},
+            "section_order": 2**15,
+            "curve_samples": 2**20,
+        }
+        cfg = cli.parse_config(doc)
+        assert cfg.report.ladder[-1] == cfg.nx == cfg.ny == cfg.section_order == 2**15
+        assert cfg.report.detect.curve_samples == 2**20
 
     @given(key=st.sampled_from(sorted(VALID)), value=JSON_VALUES)
     @example(key="region", value=OVERFLOW_REGION["region"])
@@ -194,6 +239,32 @@ class TestExitCodes:
         path = write_config(tmp_path, dict(doc, output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
         assert f"'tolerances.series_tol' must be >= {floor}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["curve", "spectrum", "pseudospectrum"])
+    def test_default_series_tol_below_floor_runs_without_series(self, tmp_path, command):
+        path = write_config(tmp_path, dict(DEFAULT_BELOW_FLOOR, output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_OK
+
+    @pytest.mark.parametrize("command", ["hs-check", "report"])
+    def test_default_series_tol_below_floor_stops_series(self, tmp_path, capsys, command):
+        path = write_config(tmp_path, dict(DEFAULT_BELOW_FLOOR, output_dir=str(tmp_path)))
+        assert cli.main([command, "--config", path]) == cli.EXIT_USAGE
+        assert "'tolerances.series_tol' must be >= 2.22e-08" in capsys.readouterr().err
+
+    def test_huge_curve_samples(self, tmp_path, capsys):
+        doc = dict(BASE, curve_samples=10**30, output_dir=str(tmp_path))
+        assert cli.main(["curve", "--config", write_config(tmp_path, doc)]) == cli.EXIT_USAGE
+        assert f"'curve_samples' must be an integer >= 64 and <= {2**20}" in capsys.readouterr().err
+
+    # hs-check is O(N) in every config it accepts, so any replaced field is safe to run.
+    @given(key=st.sampled_from(sorted(VALID)), value=JSON_VALUES)
+    @example(key="ladder", value=[1, 2, 10**30])
+    @settings(max_examples=200, deadline=None)
+    def test_hs_check_one_field_replaced_exits_documented_code(self, session_dir, key, value):
+        path = session_dir / "config.json"
+        path.write_text(json.dumps(dict(VALID, **{key: value})))
+        code = cli.main(["hs-check", "--config", str(path)])
+        assert code in (cli.EXIT_OK, cli.EXIT_BOUND_VIOLATION, cli.EXIT_USAGE)
 
     @pytest.mark.parametrize("command", ["hs-check", "spectrum", "report", "curve"])
     def test_svd_check_only_on_pseudospectrum(self, tmp_path, command):
