@@ -207,6 +207,14 @@ def _write_text(path: Path, text: str) -> None:
         fh.write(text)
 
 
+def _write_csv(path: Path, header: str, columns) -> None:
+    """CSV of the equal-length float ``columns`` under ``header``; each row
+    is one % over a %.17g template, the digits that ``_fmt`` writes."""
+    row = ",".join(["%.17g"] * len(columns))
+    lines = [row % r for r in zip(*(np.asarray(c, dtype=float).tolist() for c in columns))]
+    _write_text(path, "\n".join([header, *lines, ""]))
+
+
 def _section(cfg: RunConfig, order: int):
     return (bt_section if cfg.section_kind == "bt" else ht_section)(cfg.symbol, order)
 
@@ -235,9 +243,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if not res.converged:
             print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE
-        lines = ["re,im"]
-        lines += [f"{_fmt(v.real)},{_fmt(v.imag)}" for v in res.values]
-        _write_text(out / f"eigenvalues_{n}.csv", "\n".join(lines) + "\n")
+        _write_csv(out / f"eigenvalues_{n}.csv", "re,im", (res.values.real, res.values.imag))
         print(f"wrote {out / f'eigenvalues_{n}.csv'} ({n} rows)")
     return code
 
@@ -248,13 +254,11 @@ def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
     order = cfg.section_order or cfg.report.ladder[-1]
     section = _section(cfg, order)
     fieldvals = pseudospectrum(section, cfg.region, cfg.nx, cfg.ny)
-    lines = ["re,im,sigma_min"]
     res = fieldvals.re_values()
     ims = fieldvals.im_values()
-    for q, im in enumerate(ims):
-        for p, re in enumerate(res):
-            lines.append(f"{_fmt(re)},{_fmt(im)},{_fmt(fieldvals.sigma_min[q, p])}")
-    _write_text(cfg.output_dir / "pseudospectrum.csv", "\n".join(lines) + "\n")
+    # row-major over (im, re), as sigma_min is stored
+    columns = (np.tile(res, cfg.ny), np.repeat(ims, cfg.nx), fieldvals.sigma_min.ravel())
+    _write_csv(cfg.output_dir / "pseudospectrum.csv", "re,im,sigma_min", columns)
     print(f"wrote {cfg.output_dir / 'pseudospectrum.csv'} ({cfg.nx * cfg.ny} nodes)")
     if svd_check:
         worst = 0.0
@@ -282,10 +286,9 @@ def cmd_report(cfg: RunConfig) -> int:
 
 def cmd_curve(cfg: RunConfig) -> int:
     curve = sample_curve(cfg.symbol, cfg.report.detect.curve_samples)
-    lines = ["theta,re,im,tangent_re,tangent_im"]
-    for theta, p, t in zip(_angles(len(curve)).tolist(), curve.points.tolist(), curve.tangents.tolist()):
-        lines.append(f"{_fmt(theta)},{_fmt(p.real)},{_fmt(p.imag)},{_fmt(t.real)},{_fmt(t.imag)}")
-    _write_text(cfg.output_dir / "curve.csv", "\n".join(lines) + "\n")
+    p, t = curve.points, curve.tangents
+    columns = (_angles(len(curve)), p.real, p.imag, t.real, t.imag)
+    _write_csv(cfg.output_dir / "curve.csv", "theta,re,im,tangent_re,tangent_im", columns)
     print(f"wrote {cfg.output_dir / 'curve.csv'} ({len(curve)} samples)")
     try:
         diag = curve_diagnostics(curve)

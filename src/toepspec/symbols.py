@@ -25,6 +25,9 @@ ON_CURVE_RTOL = 1e-12
 TAU_CUSP = 1e-6
 # Relative tolerance for the segment-segment self-intersection test.
 SELF_INTERSECT_RTOL = 1e-9
+# Relative slack of the self-distance sweep's pair pruning, far above the
+# rounding error (a few ulps of the scale) of a computed segment distance.
+PAIR_SLACK = 1e-12
 # Points per block in the array forms of the distance and winding
 # computations: bounds their (points x segments) temporaries.
 POINT_BLOCK = 32
@@ -209,16 +212,14 @@ def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.real * v.imag - u.imag * v.real
 
 
-def _segment_distances(
-    p: complex, q: complex, a: np.ndarray, b: np.ndarray
-) -> np.ndarray:
-    """Exact distances from the segment [p, q] to each segment [a_k, b_k].
+def _segment_distances(p, q, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Exact distances between the segments [p, q] and [a, b], elementwise
+    over broadcast arrays (one segment against many, or pairs).
 
     Two segments that do not cross attain their distance at an endpoint of
     one of them, so the minimum of the four endpoint-to-segment distances is
     exact; a proper crossing gives 0.
     """
-    p, q = complex(p), complex(q)
     d = np.minimum(
         np.minimum(_point_segment_distances(p, a, b), _point_segment_distances(q, a, b)),
         np.minimum(_point_segment_distances(a, p, q), _point_segment_distances(b, p, q)),
@@ -283,34 +284,65 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
 
     cusp_free: min |tangent| > TAU_CUSP * max |tangent|.
     jordan: no two non-adjacent polyline segments come within
-    SELF_INTERSECT_RTOL * scale of each other.  The pair test runs one
-    segment against the later ones at a time and stops at the first zero
-    distance: O(M^2) time, O(M) memory.
+    SELF_INTERSECT_RTOL * scale of each other.  Raises DegenerateCurveError
+    when all points coincide or there are fewer than 4 (no non-adjacent pair).
+
+    The minimum over non-adjacent pairs is found by a sweep (Shamos & Hoey
+    1976).  U = min_k dist(segment k, segment k + 2) bounds it from above.
+    The segments are sorted by their projections on the wider axis; a pair
+    whose projections on either axis are more than U + PAIR_SLACK * scale
+    apart is farther apart than U, as computed too, so it cannot set the
+    minimum and is skipped.  Every other pair is evaluated by the same
+    elementwise formula as a full search, so the result is the same
+    double.  Pairs are expanded POINT_BLOCK * M at a time: O(M) memory.
     """
     p = c.points
+    M = len(p)
+    if M < 4:
+        raise DegenerateCurveError(f"curve has {M} samples; the self-distance needs at least 4")
     if np.all(p == p[0]):
         raise DegenerateCurveError("all curve points coincide")
     speeds = np.abs(c.tangents)
     min_speed = float(np.min(speeds))
     max_speed = float(np.max(speeds))
     cusp_free = min_speed > TAU_CUSP * max_speed
-
-    a = p
-    b = np.roll(p, -1)
-    M = len(p)
-    row_min = []
-    # segment k against l >= k + 2, skipping the cyclic neighbour M - 1 of 0
-    for k in range(M - 2):
-        stop = M - 1 if k == 0 else M
-        row_min.append(np.min(_segment_distances(a[k], b[k], a[k + 2 : stop], b[k + 2 : stop])))
-        if row_min[-1] == 0.0:
-            break
-    min_self = float(np.min(row_min))
-    tol = SELF_INTERSECT_RTOL * c.scale()
-    jordan = min_self > tol
+    scale = c.scale()
+    min_self = _min_self_distance(p, scale)
     return CurveDiagnostics(
-        jordan=jordan,
+        jordan=min_self > SELF_INTERSECT_RTOL * scale,
         cusp_free=cusp_free,
         min_tangent_speed=min_speed,
         min_self_distance=min_self,
     )
+
+
+def _min_self_distance(p: np.ndarray, scale: float) -> float:
+    """Minimum distance between non-adjacent segments of the closed polyline
+    through the M >= 4 points ``p``; see ``curve_diagnostics``."""
+    M = len(p)
+    a, b = p, np.roll(p, -1)
+    # segments k and k + 2 share no vertex when M >= 4
+    best = float(np.min(_segment_distances(a, b, np.roll(a, -2), np.roll(b, -2))))
+    reach = best + PAIR_SLACK * scale
+    x, y = (p.real, p.imag) if np.ptp(p.real) >= np.ptp(p.imag) else (p.imag, p.real)
+    x_lo, x_hi = np.minimum(x, np.roll(x, -1)), np.maximum(x, np.roll(x, -1))
+    y_lo, y_hi = np.minimum(y, np.roll(y, -1)), np.maximum(y, np.roll(y, -1))
+    order = np.argsort(x_lo, kind="stable")
+    # sorted segment i pairs with the later-sorted i + 1 .. ends[i] - 1
+    ends = np.searchsorted(x_lo[order], x_hi[order] + reach, side="right")
+    counts = ends - np.arange(M) - 1
+    first = np.concatenate(([0], np.cumsum(counts)))  # first[i]: pairs before row i
+    i0 = 0
+    while i0 < M:
+        # rows i0 .. i1 - 1 hold at most POINT_BLOCK * M pairs (one row < M)
+        i1 = int(np.searchsorted(first, first[i0] + POINT_BLOCK * M, side="right")) - 1
+        rows = np.repeat(np.arange(i0, i1), counts[i0:i1])
+        offsets = np.arange(len(rows)) - np.repeat(first[i0:i1] - first[i0], counts[i0:i1])
+        k, l = order[rows], order[rows + 1 + offsets]
+        gap = np.abs(k - l)
+        keep = (gap > 1) & (gap < M - 1) & (np.maximum(y_lo[l] - y_hi[k], y_lo[k] - y_hi[l]) <= reach)
+        k, l = k[keep], l[keep]
+        if len(k):
+            best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]))))
+        i0 = i1
+    return best

@@ -3,9 +3,10 @@
 These deliberately avoid the library's own code paths: characteristic
 polynomials via Leverrier-Faddeev in extended precision, root solving via
 the companion matrix (numpy.roots), brute-force series summation, dense
-section assembly, and decimal arithmetic.  ``scalar_points_at_distance`` and
-``scalar_sample_curve`` are the exceptions: they keep the one-ray-at-a-time
-bisection and the one-angle-at-a-time ``cmath`` sum that the vectorised
+section assembly, and decimal arithmetic.  ``scalar_points_at_distance``,
+``scalar_sample_curve`` and ``rowwise_min_self_distance`` are the
+exceptions: they keep the one-ray-at-a-time bisection, the
+one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
 code must reproduce.
 """
 
@@ -176,6 +177,26 @@ def min_self_distance(points) -> float:
     gap = np.abs(np.arange(M)[:, None] - np.arange(M)[None, :])
     dist[(gap <= 1) | (gap >= M - 1)] = np.inf
     return float(np.min(dist))
+
+
+def rowwise_min_self_distance(points) -> float:
+    """Minimum distance between non-adjacent segments of a closed polyline:
+    each segment k against the segments l >= k + 2 that share no vertex with
+    it, one row at a time through ``symbols._segment_distances``, stopping at
+    the first zero.  Every pair, O(M^2) time; O(M) memory."""
+    from toepspec.symbols import _segment_distances
+
+    a = np.asarray(points, dtype=complex)
+    b = np.roll(a, -1)
+    M = len(a)
+    row_min = []
+    # segment k against l >= k + 2, skipping the cyclic neighbour M - 1 of 0
+    for k in range(M - 2):
+        stop = M - 1 if k == 0 else M
+        row_min.append(np.min(_segment_distances(a[k], b[k], a[k + 2 : stop], b[k + 2 : stop])))
+        if row_min[-1] == 0.0:
+            break
+    return float(np.min(row_min))
 
 
 def scalar_points_at_distance(curve, dists, n_angles: int = 8) -> list:

@@ -356,6 +356,18 @@ class TestPseudospectrum:
         assert lines[0] == "re,im,sigma_min"
         assert len(lines) == 10
 
+    def test_rows_run_over_re_within_im(self, tmp_path):
+        doc = dict(BASE)
+        doc.update(
+            region={"re_min": -2, "re_max": 2, "im_min": -1, "im_max": 1},
+            grid={"nx": 3, "ny": 2},
+            section_order=10,
+            output_dir=str(tmp_path),
+        )
+        assert cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        rows = [line.split(",")[:2] for line in (tmp_path / "pseudospectrum.csv").read_text().splitlines()[1:]]
+        assert rows == [[re, im] for im in ("-1", "1") for re in ("-2", "0", "2")]
+
     def test_svd_check(self, tmp_path, capsys):
         doc = dict(BASE)
         doc.update(
@@ -382,6 +394,20 @@ class TestCurve:
         assert len(lines) == 129
         out = capsys.readouterr().out
         assert "jordan: True" in out and "cusp_free: True" in out
+
+
+class TestCsv:
+    VALUES = [0.0, -0.0, 5e-324, 1 / 3, 2.5e300, -2.5e300]
+
+    @pytest.mark.parametrize("x", VALUES)
+    def test_percent_format_matches_fmt(self, x):
+        assert "%.17g" % x == f"{x:.17g}" == cli._fmt(x)
+
+    def test_write_csv_matches_field_by_field(self, tmp_path):
+        columns = (self.VALUES, self.VALUES[::-1])
+        cli._write_csv(tmp_path / "t.csv", "u,v", columns)
+        rows = [f"{cli._fmt(u)},{cli._fmt(v)}" for u, v in zip(*columns)]
+        assert (tmp_path / "t.csv").read_text() == "\n".join(["u,v"] + rows) + "\n"
 
 
 class TestReport:

@@ -8,7 +8,13 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
-from oracles import min_self_distance, nonconstant_seed0_symbols, random_symbol, scalar_sample_curve
+from oracles import (
+    min_self_distance,
+    nonconstant_seed0_symbols,
+    random_symbol,
+    rowwise_min_self_distance,
+    scalar_sample_curve,
+)
 from toepspec.cli import load_config
 from toepspec.symbols import _segment_distances
 
@@ -212,6 +218,85 @@ class TestCurveDiagnostics:
             kinds.add(d.jordan)
         assert kinds == {True, False}
 
+    @pytest.mark.parametrize(
+        "coeffs",
+        [s.coeffs for s in nonconstant_seed0_symbols(8)] + [{1: 1, -1: 0.5}, {1: 1, 2: 0.2}, {1: 1, -2: 0.3}],
+    )
+    def test_min_self_distance_matches_rowwise_oracle_at_full_size(self, coeffs):
+        c = ts.sample_curve(ts.HarmonicSymbol(coeffs), 2048)
+        assert ts.curve_diagnostics(c).min_self_distance == rowwise_min_self_distance(c.points)
+
+    @staticmethod
+    def slit_annulus(M, gap, turn, inner=0.5):
+        """C-shaped annulus whose two radial ends are about ``gap`` apart,
+        far closer than any segment k to k + 2 (about 3 / M)."""
+        t = np.linspace(gap, 2 * np.pi - gap, M // 2)
+        p = np.exp(1j * turn) * np.concatenate([np.exp(1j * t), inner * np.exp(1j * t[::-1])])
+        return ts.SymbolCurve(points=p, tangents=np.ones(M))
+
+    @pytest.mark.parametrize("M, gap, turn", [(1024, 1e-4, 0.7), (2048, 3e-5, 2.0), (2048, 1e-7, 4.0)])
+    def test_slit_minimum_far_below_neighbour_bound_matches_rowwise_oracle(self, M, gap, turn):
+        c = self.slit_annulus(M, gap, turn)
+        d = ts.curve_diagnostics(c)
+        assert d.jordan and d.min_self_distance < 2 * gap
+        assert d.min_self_distance == rowwise_min_self_distance(c.points)
+
+    @pytest.mark.parametrize("turn", [0.3, 1.2])
+    @pytest.mark.parametrize("block", [1, ts.symbols.POINT_BLOCK])
+    def test_sweep_evaluates_every_pair_nearer_than_the_bound(self, turn, block, monkeypatch):
+        # thin slit annulus: every outer segment has an inner one at 0.3 to
+        # 0.9 times the chord, below the bound that the slit's ends (0.95
+        # times the chord) set, so most rows hold a near pair
+        M = 256
+        t = np.linspace(1e-3, 2 * np.pi - 1e-3, M // 2)
+        gaps = 2 * np.sin((t[1] - t[0]) / 2) * np.random.default_rng(3).uniform(0.3, 0.9, M // 2)
+        gaps[[0, -1]] = 0.95 * 2 * np.sin((t[1] - t[0]) / 2)
+        inner = 1 - gaps
+        p = np.exp(1j * turn) * np.concatenate([np.exp(1j * t), (inner * np.exp(1j * t))[::-1]])
+        a, b = p, np.roll(p, -1)
+        bound = np.min(_segment_distances(a, b, np.roll(a, -2), np.roll(b, -2)))
+        near = {
+            (k, l)
+            for k in range(M)
+            for l in np.flatnonzero(_segment_distances(a[k], b[k], a, b) < bound).tolist()
+            if 1 < l - k < M - 1
+        }
+        index = {z: k for k, z in enumerate(p.tolist())}
+        seen, sizes = set(), []
+
+        def recording(p, q, a, b):
+            d = _segment_distances(p, q, a, b)
+            sizes.append(d.size)
+            for z, w in zip(*(np.broadcast_to(x, d.shape).tolist() for x in (p, a))):
+                seen.add((min(index[z], index[w]), max(index[z], index[w])))
+            return d
+
+        monkeypatch.setattr(ts.symbols, "POINT_BLOCK", block)
+        monkeypatch.setattr(ts.symbols, "_segment_distances", recording)
+        ts.curve_diagnostics(ts.SymbolCurve(points=p, tangents=np.ones(M)))
+        assert len(near) >= M // 4 and near <= seen
+        assert max(sizes) <= block * M
+
+    @pytest.mark.parametrize("coeffs", [{1: 1}, {1: 1, -1: 0.5}, {2: 1, -1: 0.8}])
+    def test_pair_search_evaluates_linearly_many_pairs(self, coeffs, monkeypatch):
+        M = 2**14
+        pairs = []
+
+        def counting(p, q, a, b):
+            d = _segment_distances(p, q, a, b)
+            pairs.append(d.size)
+            return d
+
+        c = ts.sample_curve(ts.HarmonicSymbol(coeffs), M)
+        monkeypatch.setattr(ts.symbols, "_segment_distances", counting)
+        ts.curve_diagnostics(c)
+        assert 0 < sum(pairs) <= 64 * M  # a full search evaluates about M^2 / 2
+
+    def test_fewer_than_four_samples_rejected(self):
+        c = ts.SymbolCurve(points=[0, 1, 1j], tangents=[1, 1, 1])
+        with pytest.raises(ts.DegenerateCurveError, match="3 samples"):  # a ValueError, as classify expects
+            ts.curve_diagnostics(c)
+
 
 class TestSegmentDistances:
     def test_proper_crossing_is_zero(self):
@@ -233,6 +318,13 @@ class TestSegmentDistances:
         fwd = _segment_distances(a[0], b[0], a[1:], b[1:])
         back = [_segment_distances(a[k], b[k], a[:1], b[:1])[0] for k in range(1, 20)]
         assert fwd.tolist() == back
+
+    def test_broadcasts_over_segment_pairs(self):
+        rng = np.random.default_rng(6)
+        p, q, a, b = (rng.standard_normal(20) + 1j * rng.standard_normal(20) for _ in range(4))
+        paired = _segment_distances(p, q, a, b)
+        one_by_one = [_segment_distances(p[k], q[k], a[k : k + 1], b[k : k + 1])[0] for k in range(20)]
+        assert paired.tolist() == one_by_one
 
 
 class TestInvariants:
