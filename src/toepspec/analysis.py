@@ -12,7 +12,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -73,35 +74,34 @@ def lt_sum(
     return total
 
 
-def weyl_diagnostic(
-    s: HarmonicSymbol,
-    N: int,
-    delta: float | None = None,
-    curve: SymbolCurve | None = None,
-) -> float | None:
+def weyl_diagnostic(s: HarmonicSymbol, N: int, curve: SymbolCurve | None = None) -> float | None:
     """Fraction of Bergman-section eigenvalues inside or near the filled
     spectrum; a coarse accumulation indicator expected to approach 1.
 
-    None when the eigensolver does not converge at order N.
+    None when the eigensolver does not converge at order N.  ``curve``
+    defaults to ``sample_curve(s)``.
     """
     N = int(N)
     if N < 16:
         raise ValueError(f"need N >= 16, got {N}")
     res = eigenvalues(bt_section(s, N).entries)
-    return _near_fraction(s, res.values, delta, curve) if res.converged else None
+    if not res.converged:
+        return None
+    return _near_fraction(s, res.values, sample_curve(s) if curve is None else curve)
 
 
-def _near_fraction(s: HarmonicSymbol, ev, delta=None, curve=None) -> float:
-    """Fraction of eigenvalues ``ev`` within ``delta`` (default
-    0.1 * wiener_norm) of the filled spectrum."""
-    delta = 0.1 * s.wiener_norm() if delta is None else delta
-    curve = sample_curve(s) if curve is None else curve
-    return float(np.mean(dist_to_spectrum(ev, curve) <= delta))
+def _near_fraction(s: HarmonicSymbol, ev, curve: SymbolCurve) -> float:
+    """Fraction of eigenvalues ``ev`` within 0.1 * wiener_norm of the
+    filled spectrum."""
+    return float(np.mean(dist_to_spectrum(ev, curve) <= 0.1 * s.wiener_norm()))
 
 
-# Resolvent-fit sample count and spectrum-distance range (times the Wiener norm).
+# Resolvent-fit sample count and spectrum-distance range (times the Wiener
+# norm); the fit and the Weyl fraction run at these orders or the top rung.
 FIT_POINTS = 16
 FIT_DIST_RANGE = (0.05, 0.5)
+FIT_ORDER = 400
+WEYL_ORDER = 200
 
 
 @dataclass(frozen=True)
@@ -110,8 +110,22 @@ class ReportOptions:
     epsilon: float = 0.01
     series_tol: float = 1e-8
     detect: DetectOptions = DetectOptions()
-    fit_order: int | None = None
-    weyl_order: int | None = None
+
+
+def _plain(v):
+    """JSON form of a report value: a dataclass by its fields, a complex as
+    [re, im], an Enum by its value, dict keys as str, a tuple as a list."""
+    if is_dataclass(v):
+        return {f.name: _plain(getattr(v, f.name)) for f in fields(v)}
+    if isinstance(v, complex):
+        return [v.real, v.imag]
+    if isinstance(v, Enum):
+        return v.value
+    if isinstance(v, dict):
+        return {str(k): _plain(x) for k, x in v.items()}
+    if isinstance(v, tuple):
+        return [_plain(x) for x in v]
+    return v
 
 
 @dataclass(frozen=True)
@@ -119,7 +133,7 @@ class SpectralReport:
     """``skipped_rungs``: section orders whose eigensolve did not converge,
     ladder rungs and the Weyl order (``weyl_fraction`` is then None)."""
 
-    symbol_coeffs: dict[int, complex]
+    symbol: dict[int, complex]
     derivative_norm_sq: float
     wiener_norm: float
     hs_truncated: float
@@ -136,51 +150,12 @@ class SpectralReport:
     p_hat: float | None
     c_hat: float | None
     weyl_fraction: float | None
-    diagnostics: CurveDiagnostics | None
+    curve_diagnostics: CurveDiagnostics | None
     dist_error_bound: float
     ladder: tuple[int, ...]
 
     def to_dict(self) -> dict:
-        def cand(c: DiscreteCandidate) -> dict:
-            return {
-                "location": [c.location.real, c.location.imag],
-                "persistence_drift": c.persistence_drift,
-                "certificate": c.certificate,
-                "component": c.component.value,
-            }
-
-        diag = None
-        if self.diagnostics is not None:
-            diag = {
-                "jordan": self.diagnostics.jordan,
-                "cusp_free": self.diagnostics.cusp_free,
-                "min_tangent_speed": self.diagnostics.min_tangent_speed,
-                "min_self_distance": self.diagnostics.min_self_distance,
-            }
-        return {
-            "symbol": {
-                str(j): [v.real, v.imag] for j, v in sorted(self.symbol_coeffs.items())
-            },
-            "derivative_norm_sq": self.derivative_norm_sq,
-            "wiener_norm": self.wiener_norm,
-            "hs_truncated": self.hs_truncated,
-            "hs_series": self.hs_series,
-            "hs_series_tail_bound": self.hs_series_tail_bound,
-            "hs_bound": self.hs_bound,
-            "candidates": [cand(c) for c in self.candidates],
-            "uncertified_candidates": [cand(c) for c in self.uncertified_candidates],
-            "skipped_rungs": list(self.skipped_rungs),
-            "lt_sum": self.lt_sum,
-            "lt_sum_certified_only": self.lt_sum_certified_only,
-            "epsilon": self.epsilon,
-            "empirical_constant": self.empirical_constant,
-            "p_hat": self.p_hat,
-            "c_hat": self.c_hat,
-            "weyl_fraction": self.weyl_fraction,
-            "curve_diagnostics": diag,
-            "dist_error_bound": self.dist_error_bound,
-            "ladder": list(self.ladder),
-        }
+        return _plain(self)
 
     def to_json(self) -> str:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
@@ -206,19 +181,18 @@ class SpectralReport:
                 "n/a" if self.weyl_fraction is None else f"{self.weyl_fraction:.6g}",
             ),
         ]
-        if self.diagnostics is not None:
-            rows.append(("jordan", str(self.diagnostics.jordan)))
-            rows.append(("cusp free", str(self.diagnostics.cusp_free)))
+        if self.curve_diagnostics is not None:
+            rows.append(("jordan", str(self.curve_diagnostics.jordan)))
+            rows.append(("cusp free", str(self.curve_diagnostics.cusp_free)))
         width = max(len(k) for k, _ in rows)
         return "\n".join(f"{k.ljust(width)}  {v}" for k, v in rows)
 
 
 def _fit_p_hat(
-    s: HarmonicSymbol,
-    curve: SymbolCurve,
-    opts: ReportOptions,
-    n_max: int,
+    s: HarmonicSymbol, curve: SymbolCurve, n_max: int
 ) -> tuple[float | None, float | None]:
+    """(p_hat, c_hat), or (None, None) when the fit is undefined or fails; a
+    LAPACK failure (a ValueError too) propagates."""
     w = s.wiener_norm()
     if w == 0 or s.is_constant:
         return None, None
@@ -226,8 +200,9 @@ def _fit_p_hat(
     dists = np.linspace(lo * w, hi * w, FIT_POINTS)
     try:
         pts = points_at_distance(curve, dists)
-        order = opts.fit_order if opts.fit_order is not None else min(400, n_max)
-        fit = resolvent_growth_fit(s, pts, order, curve=curve)
+        fit = resolvent_growth_fit(s, pts, min(FIT_ORDER, n_max), curve=curve)
+    except np.linalg.LinAlgError:
+        raise
     except (ValueError, ArithmeticError):
         return None, None
     return fit.p_hat, fit.c_hat
@@ -255,24 +230,24 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
     dn2 = s.derivative_norm_sq()
     empirical = (total / dn2) if dn2 > 0 else None
 
-    p_hat, c_hat = _fit_p_hat(s, curve, opts, n_max)
+    p_hat, c_hat = _fit_p_hat(s, curve, n_max)
 
-    weyl_n = opts.weyl_order if opts.weyl_order is not None else min(200, n_max)
-    weyl = None
-    if weyl_n >= 16 and weyl_n in detection.rung_eigenvalues:
-        weyl = _near_fraction(s, detection.rung_eigenvalues[weyl_n], curve=curve)
-    elif weyl_n >= 16:
-        weyl = weyl_diagnostic(s, weyl_n, curve=curve)
     skipped = set(detection.skipped_rungs)
-    if weyl is None and weyl_n >= 16:
-        skipped.add(weyl_n)
+    weyl_n = min(WEYL_ORDER, n_max)
+    weyl = None
+    if weyl_n not in ladder:  # one solve off the ladder
+        weyl = weyl_diagnostic(s, weyl_n, curve)
+        if weyl is None:
+            skipped.add(weyl_n)
+    elif weyl_n >= 16 and weyl_n in detection.rung_eigenvalues:
+        weyl = _near_fraction(s, detection.rung_eigenvalues[weyl_n], curve)
 
     second_deriv_sum = float(sum(j * j * abs(v) for j, v in s.coeffs.items()))
     m_curve = len(curve)
     dist_err = 2.0 * math.pi * second_deriv_sum / (m_curve * m_curve)
 
     return SpectralReport(
-        symbol_coeffs=dict(s.coeffs),
+        symbol=dict(s.coeffs),
         derivative_norm_sq=dn2,
         wiener_norm=s.wiener_norm(),
         hs_truncated=hs_trunc,
@@ -289,7 +264,7 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
         p_hat=p_hat,
         c_hat=c_hat,
         weyl_fraction=weyl,
-        diagnostics=diag,
+        curve_diagnostics=diag,
         dist_error_bound=dist_err,
         ladder=ladder,
     )

@@ -14,7 +14,7 @@ import argparse
 import json
 import math
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +243,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
         if not res.converged:
             print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE
+            continue
         _write_csv(out / f"eigenvalues_{n}.csv", "re,im", (res.values.real, res.values.imag))
         print(f"wrote {out / f'eigenvalues_{n}.csv'} ({n} rows)")
     return code
@@ -295,10 +296,9 @@ def cmd_curve(cfg: RunConfig) -> int:
     except DegenerateCurveError:
         print("curve is degenerate (single point)")
         return EXIT_OK
-    print(f"jordan: {diag.jordan}")
-    print(f"cusp_free: {diag.cusp_free}")
-    print(f"min_tangent_speed: {_fmt(diag.min_tangent_speed)}")
-    print(f"min_self_distance: {_fmt(diag.min_self_distance)}")
+    for f in fields(diag):
+        v = getattr(diag, f.name)
+        print(f"{f.name}: {_fmt(v) if isinstance(v, float) else v}")
     return EXIT_OK
 
 

@@ -41,14 +41,14 @@ class EigenResult:
 def eigenvalues(a: np.ndarray) -> EigenResult:
     """All eigenvalues via LAPACK (``np.linalg.eigvals``).
 
-    LAPACK non-convergence is reported through ``converged=False`` with the
-    diagonal entries as values, never an exception.
+    LAPACK non-convergence is reported through ``converged=False`` with no
+    values, never an exception.
     """
     a = _as_square(a)
     try:
         values = np.linalg.eigvals(a)
     except np.linalg.LinAlgError:
-        return EigenResult(values=np.diag(a), converged=False, sweeps=0)
+        return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
 
 

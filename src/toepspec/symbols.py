@@ -31,6 +31,9 @@ PAIR_SLACK = 1e-12
 # Points per block in the array forms of the distance and winding
 # computations: bounds their (points x segments) temporaries.
 POINT_BLOCK = 32
+# Segment pairs per chunk of the self-distance sweep: bounds its temporaries
+# independently of the sample count.
+PAIR_BUDGET = 2**16
 # Coefficients below this modulus have a subnormal or zero square.
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
@@ -294,7 +297,8 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     apart is farther apart than U, as computed too, so it cannot set the
     minimum and is skipped.  Every other pair is evaluated by the same
     elementwise formula as a full search, so the result is the same
-    double.  Pairs are expanded POINT_BLOCK * M at a time: O(M) memory.
+    double.  Pairs are evaluated PAIR_BUDGET at a time, or one sorted
+    segment's (fewer than M) when they are more.
     """
     p = c.points
     M = len(p)
@@ -322,7 +326,11 @@ def _min_self_distance(p: np.ndarray, scale: float) -> float:
     M = len(p)
     a, b = p, np.roll(p, -1)
     # segments k and k + 2 share no vertex when M >= 4
-    best = float(np.min(_segment_distances(a, b, np.roll(a, -2), np.roll(b, -2))))
+    best = math.inf
+    for k0 in range(0, M, PAIR_BUDGET):
+        k = np.arange(k0, min(k0 + PAIR_BUDGET, M))
+        l = (k + 2) % M
+        best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]))))
     reach = best + PAIR_SLACK * scale
     x, y = (p.real, p.imag) if np.ptp(p.real) >= np.ptp(p.imag) else (p.imag, p.real)
     x_lo, x_hi = np.minimum(x, np.roll(x, -1)), np.maximum(x, np.roll(x, -1))
@@ -334,8 +342,8 @@ def _min_self_distance(p: np.ndarray, scale: float) -> float:
     first = np.concatenate(([0], np.cumsum(counts)))  # first[i]: pairs before row i
     i0 = 0
     while i0 < M:
-        # rows i0 .. i1 - 1 hold at most POINT_BLOCK * M pairs (one row < M)
-        i1 = int(np.searchsorted(first, first[i0] + POINT_BLOCK * M, side="right")) - 1
+        # rows i0 .. i1 - 1 hold at most PAIR_BUDGET pairs, or are one row
+        i1 = max(i0 + 1, int(np.searchsorted(first, first[i0] + PAIR_BUDGET, side="right")) - 1)
         rows = np.repeat(np.arange(i0, i1), counts[i0:i1])
         offsets = np.arange(len(rows)) - np.repeat(first[i0:i1] - first[i0], counts[i0:i1])
         k, l = order[rows], order[rows + 1 + offsets]

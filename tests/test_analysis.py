@@ -1,5 +1,6 @@
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -80,6 +81,19 @@ class TestLTSum:
 
 
 class TestWeylDiagnostic:
+    @staticmethod
+    def counting_eigvals(monkeypatch):
+        """Record the order of every LAPACK eigenvalue call."""
+        calls = []
+        inner = np.linalg.eigvals
+
+        def eigvals(a):
+            calls.append(len(a))
+            return inner(a)
+
+        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        return calls
+
     def test_self_adjoint_symbol(self):
         s = ts.HarmonicSymbol({1: 1, -1: 1})
         assert ts.weyl_diagnostic(s, 120) >= 0.95
@@ -98,38 +112,34 @@ class TestWeylDiagnostic:
     def test_report_reuses_ladder_eigenvalues(self, monkeypatch):
         s = ts.HarmonicSymbol({2: 1, -1: 0.8})
         expected = ts.weyl_diagnostic(s, 200)
-        calls = []
-        original = np.linalg.eigvals
-
-        def eigvals(a):
-            calls.append(len(a))
-            return original(a)
-
-        monkeypatch.setattr(np.linalg, "eigvals", eigvals)
+        calls = self.counting_eigvals(monkeypatch)
         rep = ts.build_report(s, ts.ReportOptions(ladder=(50, 100, 200)))
         assert calls == [50, 100, 200]
         assert rep.weyl_fraction == expected
 
-    def test_report_skips_unconverged_weyl_rung(self, eigvals_fails_at):
-        eigvals_fails_at(40)
-        opts = ts.ReportOptions(ladder=(20, 40, 80), weyl_order=40)
-        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
-        assert rep.weyl_fraction is None and rep.skipped_rungs == (40,)
+    def test_report_skips_unconverged_weyl_rung(self, eigvals_fails_at, monkeypatch):
+        # the Weyl order min(200, 80) is the failed rung: it is not solved again
+        eigvals_fails_at(80)
+        calls = self.counting_eigvals(monkeypatch)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=(20, 40, 80)))
+        assert calls == [20, 40, 80]
+        assert rep.weyl_fraction is None and rep.skipped_rungs == (80,)
 
-    def test_report_skips_unconverged_weyl_order(self, eigvals_fails_at):
-        eigvals_fails_at(60)
-        opts = ts.ReportOptions(ladder=(20, 40, 80), weyl_order=60)
-        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
+    def test_report_skips_unconverged_weyl_order(self, eigvals_fails_at, monkeypatch):
+        # the Weyl order 200 is not a rung of (50, 100, 250): one solve of its own
+        eigvals_fails_at(200)
+        calls = self.counting_eigvals(monkeypatch)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=(50, 100, 250)))
+        assert calls == [50, 100, 250, 200]
         assert rep.weyl_fraction is None
-        assert rep.skipped_rungs == (60,)
+        assert rep.skipped_rungs == (200,)
         payload = json.loads(rep.to_json())
-        assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == [60]
+        assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == [200]
 
 
 @pytest.fixture(scope="module")
 def report():
-    opts = ts.ReportOptions(ladder=SMALL_LADDER, fit_order=80, weyl_order=60)
-    return ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
+    return ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=SMALL_LADDER))
 
 
 class TestReport:
@@ -151,9 +161,14 @@ class TestReport:
         assert payload["ladder"] == list(SMALL_LADDER)
         assert isinstance(payload["candidates"], list)
 
+    def test_json_keys_are_field_names(self, report):
+        payload = json.loads(report.to_json())
+        assert set(payload) == {f.name for f in fields(ts.SpectralReport)}
+        assert set(payload["candidates"][0]) == {f.name for f in fields(ts.DiscreteCandidate)}
+        assert set(payload["curve_diagnostics"]) == {f.name for f in fields(ts.CurveDiagnostics)}
+
     def test_deterministic(self, report):
-        opts = ts.ReportOptions(ladder=SMALL_LADDER, fit_order=80, weyl_order=60)
-        again = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), opts)
+        again = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=SMALL_LADDER))
         assert again.to_json() == report.to_json()
 
     def test_summary_is_text(self, report):

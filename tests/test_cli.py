@@ -284,6 +284,14 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert err.startswith("solver error: ") and err.count("\n") == 1
 
+    def test_svd_failure_in_resolvent_fit(self, tmp_path, capsys, svd_fails):
+        # no candidate at this ladder, so the resolvent fit makes the first SVD call
+        path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
+        assert cli.main(["report", "--config", path]) == cli.EXIT_NO_CONVERGENCE
+        err = capsys.readouterr().err
+        assert err.startswith("solver error: ") and err.count("\n") == 1
+        assert not (tmp_path / "report.json").exists()
+
     def test_overflowing_region(self, tmp_path, capsys):
         doc = dict(OVERFLOW_REGION, grid={"nx": 2, "ny": 2}, section_order=8, output_dir=str(tmp_path))
         assert cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc)]) == cli.EXIT_USAGE
@@ -298,6 +306,8 @@ class TestExitCodes:
         eigvals_fails_at(40)
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
         assert cli.main([command, "--config", path]) == cli.EXIT_NO_CONVERGENCE
+        if command == "spectrum":  # the failed rung has no eigenvalues to write
+            assert [(tmp_path / f"eigenvalues_{n}.csv").exists() for n in (20, 40, 60)] == [True, False, True]
 
     def test_weyl_eigensolver_failure(self, tmp_path, eigvals_fails_at, capsys):
         # the Weyl diagnostic runs at order 200, which is not a ladder rung

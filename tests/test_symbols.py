@@ -1,5 +1,6 @@
 import cmath
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -242,7 +243,7 @@ class TestCurveDiagnostics:
         assert d.min_self_distance == rowwise_min_self_distance(c.points)
 
     @pytest.mark.parametrize("turn", [0.3, 1.2])
-    @pytest.mark.parametrize("block", [1, ts.symbols.POINT_BLOCK])
+    @pytest.mark.parametrize("block", [1, 32])
     def test_sweep_evaluates_every_pair_nearer_than_the_bound(self, turn, block, monkeypatch):
         # thin slit annulus: every outer segment has an inner one at 0.3 to
         # 0.9 times the chord, below the bound that the slit's ends (0.95
@@ -271,7 +272,7 @@ class TestCurveDiagnostics:
                 seen.add((min(index[z], index[w]), max(index[z], index[w])))
             return d
 
-        monkeypatch.setattr(ts.symbols, "POINT_BLOCK", block)
+        monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", block * M)
         monkeypatch.setattr(ts.symbols, "_segment_distances", recording)
         ts.curve_diagnostics(ts.SymbolCurve(points=p, tangents=np.ones(M)))
         assert len(near) >= M // 4 and near <= seen
@@ -291,6 +292,22 @@ class TestCurveDiagnostics:
         monkeypatch.setattr(ts.symbols, "_segment_distances", counting)
         ts.curve_diagnostics(c)
         assert 0 < sum(pairs) <= 64 * M  # a full search evaluates about M^2 / 2
+
+    def test_budget_below_one_row_still_exact(self, monkeypatch):
+        # one pair per chunk: every sweep chunk is a single (longer) row
+        c = self.slit_annulus(1024, 1e-4, 0.7)
+        monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", 1)
+        assert ts.curve_diagnostics(c).min_self_distance == rowwise_min_self_distance(c.points)
+
+    def test_memory_does_not_grow_with_the_pair_count(self):
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 2**17)
+        tracemalloc.start()
+        try:
+            ts.curve_diagnostics(c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
     def test_fewer_than_four_samples_rejected(self):
         c = ts.SymbolCurve(points=[0, 1, 1j], tangents=[1, 1, 1])
