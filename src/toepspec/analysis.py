@@ -38,8 +38,8 @@ from .symbols import (
     CurveDiagnostics,
     DegenerateCurveError,
     HarmonicSymbol,
-    ON_CURVE_RTOL,
     SymbolCurve,
+    _on_curve,
     _windings,
     curve_diagnostics,
     sample_curve,
@@ -53,7 +53,7 @@ def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.nd
     points (gives an array), taken POINT_BLOCK at a time."""
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
     d = c.distance_to(pts)
-    outside = d > ON_CURVE_RTOL * c.scale()
+    outside = ~_on_curve(c, d)
     outside[outside] = _windings(c, pts[outside]) == 0
     d = np.where(outside, d, 0.0)
     return float(d[0]) if np.ndim(lam) == 0 else d

@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: hs-check, spectrum, pseudospectrum, report, curve.  One JSON
+One subcommand per ``cmd_*`` handler, listed in ``build_parser``.  One JSON
 config document describes the experiment; outputs are CSV/JSON artifacts
 with 17-significant-digit floats so external plots are bit-stable.
 
@@ -303,53 +303,47 @@ def cmd_curve(cfg: RunConfig) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The parser, from one table of (name, handler, help, switches) rows;
+    each subcommand's ``func`` default is its handler as bound at this call."""
     parser = argparse.ArgumentParser(
         prog="toepspec",
         description="Finite-section spectral analysis of Toeplitz operators "
         "with harmonic symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, help_text in (
-        ("hs-check", "check the Hilbert-Schmidt difference bound"),
-        ("spectrum", "write finite-section eigenvalues per ladder rung"),
-        ("pseudospectrum", "write a sigma_min grid over a region"),
-        ("report", "run the full pipeline and write report.json"),
-        ("curve", "sample the symbol curve and print diagnostics"),
+    for name, func, help_text, switches in (
+        ("hs-check", cmd_hs_check, "check the Hilbert-Schmidt difference bound", {}),
+        ("spectrum", cmd_spectrum, "write finite-section eigenvalues per ladder rung", {}),
+        (
+            "pseudospectrum",
+            cmd_pseudospectrum,
+            "write a sigma_min grid over a region",
+            {"--svd-check": "verify sigma_min with the Jacobi SVD oracle"},
+        ),
+        ("report", cmd_report, "run the full pipeline and write report.json", {}),
+        ("curve", cmd_curve, "sample the symbol curve and print diagnostics", {}),
     ):
         p = sub.add_parser(name, help=help_text)
+        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory override")
-        if name == "pseudospectrum":
-            p.add_argument(
-                "--svd-check", action="store_true", help="verify sigma_min with the Jacobi SVD oracle"
-            )
+        for flag, flag_help in switches.items():
+            p.add_argument(flag, action="store_true", help=flag_help)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = vars(build_parser().parse_args(argv))
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
+    # what is left after these are the subcommand's switches, as keywords
+    func, config, out, _ = map(args.pop, ("func", "config", "out", "command"))
     try:
-        cfg = load_config(args.config)
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    if args.out is not None:
-        cfg.output_dir = Path(args.out)
-    try:
-        if args.command == "hs-check":
-            return cmd_hs_check(cfg)
-        if args.command == "spectrum":
-            return cmd_spectrum(cfg)
-        if args.command == "pseudospectrum":
-            return cmd_pseudospectrum(cfg, svd_check=args.svd_check)
-        if args.command == "report":
-            return cmd_report(cfg)
-        if args.command == "curve":
-            return cmd_curve(cfg)
+        cfg = load_config(config)
+        if out is not None:
+            cfg.output_dir = Path(out)
+        return func(cfg, **args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -359,7 +353,6 @@ def main(argv: list[str] | None = None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
-    raise AssertionError(f"unhandled command {args.command}")
 
 
 def entry_point() -> None:

@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
 from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve, winding_number
-from .symbols import _segment_distances
+from .symbols import _on_curve, _segment_distances
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -230,15 +230,15 @@ def classify(
 ) -> Component:
     """Classify a point against the symbol curve and its complement.
 
-    nearEssential within delta_curve of the curve; F0 when winding is zero
-    and one of 16 straight rays escapes to a radius beyond the curve while
-    staying farther than delta_curve / 4 from it, measured exactly segment
-    to segment (for Jordan curves winding zero alone suffices); boundedHole
-    else.
+    nearEssential within delta_curve of the curve or on it (where winding is
+    undefined); F0 when winding is zero and one of 16 straight rays escapes
+    to a radius beyond the curve while staying farther than delta_curve / 4
+    from it, measured exactly segment to segment (for Jordan curves winding
+    zero alone suffices); boundedHole else.
     """
     lam = complex(lam)
     d = curve.distance_to(lam)
-    if d < delta_curve:
+    if d < delta_curve or _on_curve(curve, d):
         return Component.NEAR_ESSENTIAL
     wind = winding_number(curve, lam)
     if wind != 0:

@@ -112,11 +112,6 @@ class HarmonicSymbol:
         """sum_j |b_j|, the absolutely-convergent-series norm."""
         return float(sum(abs(v) for v in self.coeffs.values()))
 
-    def sup_bound(self) -> float:
-        """Upper bound for sup_theta |phi|; also an outer radius for the
-        Hardy-Toeplitz spectrum."""
-        return self.wiener_norm()
-
 
 def from_parts(f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]) -> HarmonicSymbol:
     """Build the symbol phi = conj(g) + f from Taylor coefficients of f, g.
@@ -254,6 +249,11 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     return SymbolCurve(points=s.eval_boundary(thetas), tangents=s.boundary_tangent(thetas))
 
 
+def _on_curve(c: SymbolCurve, d):
+    """Whether distances ``d`` to ``c`` (float or array) are within ON_CURVE_RTOL * scale."""
+    return d <= ON_CURVE_RTOL * c.scale()
+
+
 def winding_number(c: SymbolCurve, lam: complex) -> int:
     """Winding of the sampled polyline around ``lam``.
 
@@ -261,7 +261,7 @@ def winding_number(c: SymbolCurve, lam: complex) -> int:
     Raises OnCurveError when ``lam`` is within 1e-12 * scale of a sample.
     """
     lam = complex(lam)
-    if c.distance_to(lam) <= ON_CURVE_RTOL * c.scale():
+    if _on_curve(c, c.distance_to(lam)):
         raise OnCurveError(f"point {lam} lies on the sampled curve")
     return int(_windings(c, lam)[0])
 

@@ -266,6 +266,11 @@ class TestExitCodes:
         code = cli.main(["hs-check", "--config", str(path)])
         assert code in (cli.EXIT_OK, cli.EXIT_BOUND_VIOLATION, cli.EXIT_USAGE)
 
+    @pytest.mark.parametrize("command", ["hs-check", "spectrum", "pseudospectrum", "report", "curve"])
+    def test_subcommand_help(self, capsys, command):
+        assert cli.main([command, "--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith(f"usage: toepspec {command} [-h] --config CONFIG")
+
     @pytest.mark.parametrize("command", ["hs-check", "spectrum", "report", "curve"])
     def test_svd_check_only_on_pseudospectrum(self, tmp_path, command):
         path = write_config(tmp_path, dict(BASE, ladder=[20, 40, 60], output_dir=str(tmp_path)))
@@ -421,6 +426,22 @@ class TestCsv:
 
 
 class TestReport:
+    def test_eigenvalue_on_tilted_segment(self, tmp_path, capsys):
+        # phi = 2 e^{0.7i} cos(theta), a tilted segment: an eigenvalue of the
+        # sections lies within ON_CURVE_RTOL * scale of it but beyond delta_curve
+        doc = {
+            "symbol": {
+                "f": [[0, 0], [0.7648421872844885, 0.644217687237691]],
+                "g": [[0, 0], [0.7648421872844885, -0.644217687237691]],
+            },
+            "ladder": [50, 100, 200],
+            "tolerances": {"delta_curve": 1e-300},
+            "output_dir": str(tmp_path),
+        }
+        assert cli.main(["report", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        assert (tmp_path / "report.json").exists()
+        assert capsys.readouterr().err == ""
+
     def test_end_to_end(self, tmp_path, capsys):
         doc = {
             "symbol": {"f": [[0, 0], [0, 0], [1, 0]], "g": [[0, 0], [0.8, 0]]},

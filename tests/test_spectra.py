@@ -109,6 +109,13 @@ class TestClassify:
         comp = ts.classify(1.0 + 0.01j, curve, delta_curve=0.05)
         assert comp is ts.Component.NEAR_ESSENTIAL
 
+    def test_point_on_curve_below_delta_is_near_essential(self):
+        # within ON_CURVE_RTOL * scale of the segment [-2, 2], where winding
+        # is undefined, although farther than delta_curve
+        curve = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 1}))
+        comp = ts.classify(1 + 1e-14j, curve, delta_curve=1e-300)
+        assert comp is ts.Component.NEAR_ESSENTIAL
+
     def test_exterior_is_f0(self):
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
         assert ts.classify(3.0, curve, delta_curve=0.05) is ts.Component.F0

@@ -103,7 +103,7 @@ class TestNorms:
         assert ts.HarmonicSymbol({1: 1, -1: 0.5}).wiener_norm() == 1.5
 
     def test_wiener_complex_constant(self):
-        assert abs(ts.HarmonicSymbol({0: 1 + 1j}).sup_bound() - math.sqrt(2)) < 1e-15
+        assert abs(ts.HarmonicSymbol({0: 1 + 1j}).wiener_norm() - math.sqrt(2)) < 1e-15
 
 
 class TestSampleCurve:
