@@ -49,8 +49,8 @@ from .symbols import (
 def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.ndarray:
     """Distance to the filled spectrum: zero on the curve (within
     ON_CURVE_RTOL * scale) or at nonzero winding, the polyline distance
-    otherwise.  ``lam`` is one point (gives a float) or a 1-D array of
-    points (gives an array), taken POINT_BLOCK at a time."""
+    otherwise.  ``lam`` is one finite point (gives a float) or a 1-D array
+    of them (gives an array), in blocks of PAIR_BUDGET (point, segment) pairs."""
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
     d = c.distance_to(pts)
     outside = ~_on_curve(c, d)

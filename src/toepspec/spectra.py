@@ -20,7 +20,7 @@ import numpy as np
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
 from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve, winding_number
-from .symbols import _on_curve, _segment_distances
+from .symbols import _by_blocks, _on_curve, _segment_distances
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -252,7 +252,10 @@ def classify(
     for k in range(16):
         angle = base_angle + 2.0 * math.pi * k / 16.0
         target = lam + escape_radius * complex(math.cos(angle), math.sin(angle))
-        if np.min(_segment_distances(lam, target, a, b)) > 0.25 * delta_curve:
+        clearance = _by_blocks(
+            lambda q, j: np.min(_segment_distances(lam, q, a[j], b[j]), axis=1), target, len(a), np.minimum
+        )
+        if clearance[0] > 0.25 * delta_curve:
             return Component.F0
     # every probe ray grazed the curve: fall back on winding for Jordan-like
     # curves, otherwise treat as a bounded winding-zero pocket

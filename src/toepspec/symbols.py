@@ -28,12 +28,9 @@ SELF_INTERSECT_RTOL = 1e-9
 # Relative slack of the self-distance sweep's pair pruning, far above the
 # rounding error (a few ulps of the scale) of a computed segment distance.
 PAIR_SLACK = 1e-12
-# Points per block in the array forms of the distance and winding
-# computations: bounds their (points x segments) temporaries.
-POINT_BLOCK = 32
-# Segment pairs per chunk of the self-distance sweep: bounds its temporaries
-# independently of the sample count.
-PAIR_BUDGET = 2**16
+# Pairs per block of the curve queries and per chunk of the self-distance
+# sweep: bounds their temporaries independently of the sample count.
+PAIR_BUDGET = 2**14
 # Coefficients below this modulus have a subnormal or zero square.
 _SQRT_TINY = math.sqrt(sys.float_info.min)
 
@@ -175,20 +172,25 @@ class SymbolCurve:
         return s if s > 0 else 1.0
 
     def distance_to(self, lam: complex | np.ndarray) -> float | np.ndarray:
-        """Distance from ``lam`` to the sampled closed polyline.  ``lam`` is
-        one point (gives a float) or a 1-D array of points (gives an array),
-        taken POINT_BLOCK at a time: temporaries hold POINT_BLOCK * len(self)
-        values at most."""
+        """Distance from ``lam``, one finite point (gives a float) or a 1-D array of
+        them (gives an array), to the sampled closed polyline, by ``_by_blocks``."""
         a, b = self.points, np.roll(self.points, -1)
-        d = _by_blocks(lambda z: np.min(_point_segment_distances(z, a, b), axis=1), lam)
+        d = _by_blocks(
+            lambda z, k: np.min(_point_segment_distances(z, a[k], b[k]), axis=1), lam, len(a), np.minimum
+        )
         return float(d[0]) if np.ndim(lam) == 0 else d
 
 
-def _by_blocks(fn, lam) -> np.ndarray:
-    """``fn`` over (POINT_BLOCK, 1) columns of the points ``lam``; ``fn``
-    returns one float per row."""
+def _by_blocks(fn, lam, M: int, ufunc) -> np.ndarray:
+    """``fn(points, segments)`` on blocks of R = PAIR_BUDGET // S points by S = min(M, PAIR_BUDGET)
+    segments; ``fn`` gives a float per point, and ``ufunc.reduce`` combines a point's chunks."""
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))[:, None]
-    blocks = [fn(pts[i : i + POINT_BLOCK]) for i in range(0, len(pts), POINT_BLOCK)]
+    if not np.isfinite(pts).all():
+        raise ValueError("points must be finite")
+    S = max(1, min(M, PAIR_BUDGET))
+    R = PAIR_BUDGET // S
+    chunks = [slice(j, j + S) for j in range(0, M, S)]
+    blocks = [ufunc.reduce([fn(pts[i : i + R], k) for k in chunks]) for i in range(0, len(pts), R)]
     return np.concatenate([np.empty(0), *blocks])
 
 
@@ -258,7 +260,7 @@ def winding_number(c: SymbolCurve, lam: complex) -> int:
     """Winding of the sampled polyline around ``lam``.
 
     Computed by summing wrapped argument increments; exact for the polyline.
-    Raises OnCurveError when ``lam`` is within 1e-12 * scale of a sample.
+    Raises OnCurveError when ``lam`` is within 1e-12 * scale of the polyline.
     """
     lam = complex(lam)
     if _on_curve(c, c.distance_to(lam)):
@@ -267,10 +269,9 @@ def winding_number(c: SymbolCurve, lam: complex) -> int:
 
 
 def _windings(c: SymbolCurve, lams) -> np.ndarray:
-    """Winding numbers, as floats, of the polyline around points off the
-    curve: sums of wrapped argument increments, POINT_BLOCK points at a time."""
+    """Windings, as floats, of the polyline around points off it: sums of wrapped angle increments."""
     a, b = c.points, np.roll(c.points, -1)
-    turns = _by_blocks(lambda z: np.sum(np.angle((b - z) / (a - z)), axis=1), lams)
+    turns = _by_blocks(lambda z, k: np.sum(np.angle((b[k] - z) / (a[k] - z)), axis=1), lams, len(a), np.add)
     return np.rint(turns / (2.0 * math.pi))
 
 
@@ -297,8 +298,8 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     apart is farther apart than U, as computed too, so it cannot set the
     minimum and is skipped.  Every other pair is evaluated by the same
     elementwise formula as a full search, so the result is the same
-    double.  Pairs are evaluated PAIR_BUDGET at a time, or one sorted
-    segment's (fewer than M) when they are more.
+    double.  Pairs, those of U too, are evaluated PAIR_BUDGET at a time (as
+    in every curve query), or one sorted segment's (fewer than M) when more.
     """
     p = c.points
     M = len(p)

@@ -6,7 +6,6 @@ import numpy as np
 import pytest
 
 import toepspec as ts
-from toepspec.symbols import POINT_BLOCK
 
 
 SMALL_LADDER = (100, 200, 400)
@@ -32,22 +31,27 @@ class TestDistToSpectrum:
         assert ts.dist_to_spectrum(3.0, curve) == pytest.approx(1.0, abs=1e-3)
 
     @pytest.mark.parametrize("coeffs", [{1: 1}, {2: 1}, {2: 1, -1: 0.8}, {0: 2 + 1j}])
-    def test_array_form_matches_scalar(self, coeffs):
+    def test_array_form_matches_scalar(self, coeffs, monkeypatch):
         curve = ts.sample_curve(ts.HarmonicSymbol(coeffs), 256)
         ring = np.exp(2j * np.pi * np.arange(40) / 40)
         # 20 curve samples and 20 segment midpoints (within ON_CURVE_RTOL of
         # the curve), 40 points on |z| = 0.5 (windings 1; 2; 0 and 1; 0 for
-        # the four symbols) and 40 far points: more than three blocks
+        # the four symbols) and 40 far points
         p = curve.points
         on = np.concatenate([p[:120:6], 0.5 * (p[3:123:6] + p[4:124:6])])
         pts = np.concatenate([on, 0.5 * ring, 2 + 1j + 5 * ring])
-        assert len(pts) > 3 * POINT_BLOCK
-        got = ts.dist_to_spectrum(pts, curve)
-        assert got.tolist() == [ts.dist_to_spectrum(z, curve) for z in pts]
-        assert (got[:40] == 0).all() and (got[80:] > 0).all()
-        assert (got[40:80] == 0).any() == (not ts.HarmonicSymbol(coeffs).is_constant)
-        near = curve.distance_to(pts)
-        assert near.tolist() == [curve.distance_to(z) for z in pts]
+        whole = [ts.dist_to_spectrum(z, curve) for z in pts]
+        whole_near = [curve.distance_to(z) for z in pts]
+        # 1024 pairs per block: 4 points by all 256 segments, so 30 row
+        # blocks; 100 pairs: 1 point by 100 segments, so 3 segment chunks
+        for budget in (1024, 100):
+            monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", budget)
+            got = ts.dist_to_spectrum(pts, curve)
+            assert got.tolist() == [ts.dist_to_spectrum(z, curve) for z in pts] == whole
+            assert (got[:40] == 0).all() and (got[80:] > 0).all()
+            assert (got[40:80] == 0).any() == (not ts.HarmonicSymbol(coeffs).is_constant)
+            near = curve.distance_to(pts)
+            assert near.tolist() == [curve.distance_to(z) for z in pts] == whole_near
         assert isinstance(ts.dist_to_spectrum(pts[0], curve), float)
         assert isinstance(curve.distance_to(pts[0]), float)
         for empty in (ts.dist_to_spectrum(pts[:0], curve), curve.distance_to(pts[:0])):

@@ -175,14 +175,88 @@ class TestWindingNumber:
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 256)
         assert ts.winding_number(c, 2 + 2j) == 0
 
-    def test_doubly_traversed_circle(self):
+    def test_doubly_traversed_circle(self, monkeypatch):
         c = ts.sample_curve(ts.HarmonicSymbol({2: 1}), 256)
-        assert ts.winding_number(c, 0) == 2
+        # at 100 pairs per block, each point meets the 256 segments in 3 chunks
+        for budget in (ts.symbols.PAIR_BUDGET, 100):
+            monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", budget)
+            assert ts.winding_number(c, 0) == 2 and ts.winding_number(c, 0.3 - 0.2j) == 2
+            assert ts.winding_number(c, 3) == 0 and ts.winding_number(c, -1.5j) == 0
 
     def test_on_curve_rejected(self):
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
         with pytest.raises(ts.OnCurveError):
             ts.winding_number(c, c.points[3])
+
+
+class TestCurveQueries:
+    """Distance, winding and the ray probes of classify all run through
+    ``symbols._by_blocks`` in blocks of at most PAIR_BUDGET pairs."""
+
+    QUERIES = {
+        "distance_to": lambda c, z: c.distance_to(z),
+        "dist_to_spectrum": lambda c, z: ts.dist_to_spectrum(z, c),
+        "winding_number": lambda c, z: ts.winding_number(c, z),
+        "classify": lambda c, z: ts.classify(z, c, 0.1),
+    }
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, complex(1, math.nan)])
+    @pytest.mark.parametrize("query", QUERIES)
+    def test_nonfinite_point_rejected(self, query, bad):
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 256)
+        with pytest.raises(ValueError, match="points must be finite"):
+            self.QUERIES[query](c, bad)
+
+    def test_nonfinite_point_in_array_rejected(self):
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 256)
+        with pytest.raises(ValueError, match="points must be finite"):
+            ts.dist_to_spectrum(np.array([0, 3, math.nan]), c)
+
+    @pytest.mark.parametrize("M, budget", [(512, None), (2**15, None), (256, 100), (256, 1000)])
+    def test_every_block_within_the_budget(self, M, budget, monkeypatch):
+        if budget is not None:
+            monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", budget)
+        budget = ts.symbols.PAIR_BUDGET
+        by_blocks = ts.symbols._by_blocks
+        calls = []
+
+        def recording(fn, lam, n_segments, ufunc):
+            pairs = []
+            calls.append((fn.__qualname__.split(".<locals>")[0], np.size(lam), n_segments, ufunc, pairs))
+
+            def fn_recorded(z, k):
+                pairs.append(len(z) * len(range(n_segments)[k]))
+                return fn(z, k)
+
+            return by_blocks(fn_recorded, lam, n_segments, ufunc)
+
+        for module in (ts.symbols, ts.spectra):
+            monkeypatch.setattr(module, "_by_blocks", recording)
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), M)
+        ring = np.exp(2j * np.pi * np.arange(48) / 48)
+        ts.dist_to_spectrum(np.concatenate([0.2 * ring, 3 * ring]), c)
+        assert ts.classify(3 + 1j, c, 0.1) is ts.Component.F0
+        assert ts.classify(0.1, c, 0.1) is ts.Component.BOUNDED_HOLE
+        queries = {(caller, ufunc) for caller, _, _, ufunc, _ in calls}
+        # classify probes its rays one at a time, each a query of its own
+        expected = {("SymbolCurve.distance_to", np.minimum), ("_windings", np.add), ("classify", np.minimum)}
+        assert queries == expected
+        for _, n, n_segments, _, pairs in calls:
+            assert max(pairs) <= budget
+            assert sum(pairs) == n * n_segments == n * M  # each pair once
+
+    def test_memory_does_not_grow_with_the_sample_count(self):
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 2**17)
+        ring = np.exp(2j * np.pi * np.arange(32) / 32)
+        pts = np.concatenate([0.2 * ring, 3 * ring])
+        tracemalloc.start()
+        try:
+            d = ts.dist_to_spectrum(pts, c)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (d[:32] == 0).all() and (d[32:] > 1).all()
+        assert peak < 32 * 2**20
 
 
 class TestCurveDiagnostics:
