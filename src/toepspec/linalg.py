@@ -1,7 +1,10 @@
-"""Dense complex linear algebra.
+"""Dense linear algebra.
 
 Eigenvalues and the smallest singular value go through LAPACK as shipped
-with NumPy (``np.linalg.eigvals`` and ``np.linalg.svd``).  A slow one-sided
+with NumPy (``np.linalg.eigvals`` and ``np.linalg.svd``).  A matrix with no
+nonzero imaginary part (for ``smallest_singular_value``: A - lam I) is passed
+as real, so it runs ``dgeev`` / ``dgesdd``, and its eigenvalues come in exact
+conjugate pairs; any other runs ``zgeev`` / ``zgesdd``.  A slow one-sided
 Jacobi SVD is kept as an independent verification oracle.
 """
 
@@ -20,6 +23,11 @@ def _as_square(a: np.ndarray) -> np.ndarray:
     if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
         raise ValueError("matrix contains non-finite entries")
     return a
+
+
+def _real_if_real(b: np.ndarray) -> np.ndarray:
+    """``b.real`` when no entry of ``b`` has a nonzero imaginary part, else ``b``."""
+    return b if b.imag.any() else b.real
 
 
 @dataclass(frozen=True)
@@ -46,17 +54,19 @@ def eigenvalues(a: np.ndarray) -> EigenResult:
     """
     a = _as_square(a)
     try:
-        values = np.linalg.eigvals(a)
+        values = np.linalg.eigvals(_real_if_real(a))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
 
 
 def smallest_singular_value(a: np.ndarray, lam: complex = 0j) -> float:
-    """sigma_min(A - lam I) via LAPACK (``np.linalg.svd``)."""
+    """sigma_min(A - lam I) via LAPACK (``np.linalg.svd``), in real arithmetic
+    when A - lam I is real."""
     a = _as_square(a)
-    b = a - complex(lam) * np.eye(a.shape[0])
-    return float(np.linalg.svd(b, compute_uv=False)[-1])
+    b = a.copy()
+    b.flat[:: a.shape[0] + 1] -= complex(lam)
+    return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])
 
 
 def singular_values_jacobi(

@@ -247,8 +247,7 @@ def classify(
     centroid = complex(np.mean(curve.points))
     base = lam - centroid
     base_angle = cmath.phase(base) if base != 0 else 0.0
-    a = curve.points
-    b = np.roll(a, -1)
+    a, b = curve.points, curve.ends
     for k in range(16):
         angle = base_angle + 2.0 * math.pi * k / 16.0
         target = lam + escape_radius * complex(math.cos(angle), math.sin(angle))
@@ -315,8 +314,10 @@ def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[compl
     """Deterministic outer-component points at prescribed spectrum distances.
 
     Target i gets the ray from the curve centroid at angle 2 pi i / len(dists)
-    + pi / 16; all rays are bisected together until the distance to the
-    filled spectrum matches the targets.
+    + pi / 16; all rays are bisected together, at most 80 halvings, until the
+    distance to the filled spectrum matches the targets.  The bisection stops
+    early at the first halving that moves no bracket end: every later one
+    would repeat it, so the points are those of all 80.
     """
     from .analysis import dist_to_spectrum
 
@@ -331,6 +332,8 @@ def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[compl
     for _ in range(80):
         t_mid = 0.5 * (t_lo + t_hi)
         closer = dist_to_spectrum(centroid + t_mid * direction, curve) < d
-        t_lo = np.where(closer, t_mid, t_lo)
-        t_hi = np.where(closer, t_hi, t_mid)
+        lo, hi = np.where(closer, t_mid, t_lo), np.where(closer, t_hi, t_mid)
+        if np.array_equal(lo, t_lo) and np.array_equal(hi, t_hi):
+            break
+        t_lo, t_hi = lo, hi
     return [complex(z) for z in centroid + t_hi * direction]

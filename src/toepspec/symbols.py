@@ -11,6 +11,7 @@ geometric (Jordan / cusp) diagnostics.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import sys
 from dataclasses import dataclass, field
@@ -153,6 +154,8 @@ class SymbolCurve:
 
     ``points[k] = phi(e^{i theta_k})`` with theta_k = 2 pi k / M, and
     ``tangents[k] = dphi/dtheta(theta_k)``, both computed analytically.
+    ``ends[k] = points[(k + 1) % M]`` ends the polyline's segment k; it is
+    built on first read, then cached and read-only.
     """
 
     points: np.ndarray
@@ -162,6 +165,12 @@ class SymbolCurve:
         for name in ("points", "tangents"):
             object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=complex))
             getattr(self, name).setflags(write=False)
+
+    @functools.cached_property
+    def ends(self) -> np.ndarray:
+        b = np.concatenate((self.points[1:], self.points[:1]))
+        b.setflags(write=False)
+        return b
 
     def __len__(self) -> int:
         return len(self.points)
@@ -174,7 +183,7 @@ class SymbolCurve:
     def distance_to(self, lam: complex | np.ndarray) -> float | np.ndarray:
         """Distance from ``lam``, one finite point (gives a float) or a 1-D array of
         them (gives an array), to the sampled closed polyline, by ``_by_blocks``."""
-        a, b = self.points, np.roll(self.points, -1)
+        a, b = self.points, self.ends
         d = _by_blocks(
             lambda z, k: np.min(_point_segment_distances(z, a[k], b[k]), axis=1), lam, len(a), np.minimum
         )
@@ -270,7 +279,7 @@ def winding_number(c: SymbolCurve, lam: complex) -> int:
 
 def _windings(c: SymbolCurve, lams) -> np.ndarray:
     """Windings, as floats, of the polyline around points off it: sums of wrapped angle increments."""
-    a, b = c.points, np.roll(c.points, -1)
+    a, b = c.points, c.ends
     turns = _by_blocks(lambda z, k: np.sum(np.angle((b[k] - z) / (a[k] - z)), axis=1), lams, len(a), np.add)
     return np.rint(turns / (2.0 * math.pi))
 
@@ -312,7 +321,7 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     max_speed = float(np.max(speeds))
     cusp_free = min_speed > TAU_CUSP * max_speed
     scale = c.scale()
-    min_self = _min_self_distance(p, scale)
+    min_self = _min_self_distance(p, c.ends, scale)
     return CurveDiagnostics(
         jordan=min_self > SELF_INTERSECT_RTOL * scale,
         cusp_free=cusp_free,
@@ -321,11 +330,10 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     )
 
 
-def _min_self_distance(p: np.ndarray, scale: float) -> float:
-    """Minimum distance between non-adjacent segments of the closed polyline
-    through the M >= 4 points ``p``; see ``curve_diagnostics``."""
-    M = len(p)
-    a, b = p, np.roll(p, -1)
+def _min_self_distance(a: np.ndarray, b: np.ndarray, scale: float) -> float:
+    """Minimum distance between non-adjacent segments a[k] -> b[k] of the closed
+    polyline through the M >= 4 points ``a`` (b: their ``ends``); see ``curve_diagnostics``."""
+    M = len(a)
     # segments k and k + 2 share no vertex when M >= 4
     best = math.inf
     for k0 in range(0, M, PAIR_BUDGET):
@@ -333,13 +341,16 @@ def _min_self_distance(p: np.ndarray, scale: float) -> float:
         l = (k + 2) % M
         best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]))))
     reach = best + PAIR_SLACK * scale
-    x, y = (p.real, p.imag) if np.ptp(p.real) >= np.ptp(p.imag) else (p.imag, p.real)
-    x_lo, x_hi = np.minimum(x, np.roll(x, -1)), np.maximum(x, np.roll(x, -1))
-    y_lo, y_hi = np.minimum(y, np.roll(y, -1)), np.maximum(y, np.roll(y, -1))
+    # x: the wider axis; x, y at the segment starts, x1, y1 at their ends
+    x, x1, y, y1 = (
+        (a.real, b.real, a.imag, b.imag) if np.ptp(a.real) >= np.ptp(a.imag) else (a.imag, b.imag, a.real, b.real)
+    )
+    x_lo, x_hi = np.minimum(x, x1), np.maximum(x, x1)
+    y_lo, y_hi = np.minimum(y, y1), np.maximum(y, y1)
     order = np.argsort(x_lo, kind="stable")
-    # sorted segment i pairs with the later-sorted i + 1 .. ends[i] - 1
-    ends = np.searchsorted(x_lo[order], x_hi[order] + reach, side="right")
-    counts = ends - np.arange(M) - 1
+    # sorted segment i pairs with the later-sorted i + 1 .. stop[i] - 1
+    stop = np.searchsorted(x_lo[order], x_hi[order] + reach, side="right")
+    counts = stop - np.arange(M) - 1
     first = np.concatenate(([0], np.cumsum(counts)))  # first[i]: pairs before row i
     i0 = 0
     while i0 < M:

@@ -1,11 +1,38 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
+from toepspec.cli import load_config
 from toepspec.linalg import eigenvalues, singular_values_jacobi, smallest_singular_value
-from oracles import charpoly_roots, match_distance
+from oracles import charpoly_roots, match_distance, random_symbol
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
+EPS = np.finfo(float).eps
+
+
+def _symbols(real: bool, count: int) -> list:
+    """The first ``count`` non-constant ``random_symbol`` draws from seed 11,
+    with each coefficient's imaginary part dropped when ``real``."""
+    rng, out = np.random.default_rng(11), []
+    while len(out) < count:
+        s = random_symbol(rng)
+        if real:
+            s = ts.HarmonicSymbol({j: v.real for j, v in s.coeffs.items()})
+        if not s.is_constant:
+            out.append(s)
+    return out
+
+
+REAL_SYMBOLS = [
+    load_config(str(CONFIGS / "mixed.json")).symbol,
+    load_config(str(CONFIGS / "ellipse.json")).symbol,
+    *_symbols(True, 4),
+]
+COMPLEX_SYMBOLS = [ts.HarmonicSymbol({1: 0.5 + 0.5j, -1: 0.9}), *_symbols(False, 3)]
 
 
 def random_complex(rng, n, scale=1.0):
@@ -89,6 +116,57 @@ class TestSmallestSingularValue:
         lam = 0.3 + 0.4j
         want = min(abs(lam - z) for z in (0, 1, 5))
         assert smallest_singular_value(d, lam) == pytest.approx(want, rel=1e-8)
+
+
+class TestRealArithmetic:
+    """A real matrix (shifted by a real lam for sigma_min) runs the real LAPACK
+    drivers, whose eigenvalues come in exact conjugate pairs."""
+
+    @pytest.mark.parametrize("N", [50, 200])
+    @pytest.mark.parametrize("s", REAL_SYMBOLS)
+    def test_real_section_eigenvalues_are_conjugation_symmetric(self, s, N):
+        ev = eigenvalues(ts.bt_section(s, N).entries).values
+        assert np.array_equal(np.sort_complex(ev), np.sort_complex(ev.conj()))
+
+    @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
+    def test_every_eigenvalue_is_backward_stable(self, s):
+        a = ts.bt_section(s, 50).entries
+        floor = 64 * EPS * np.linalg.norm(a, 2)
+        res = eigenvalues(a)
+        assert res.converged
+        assert max(smallest_singular_value(a, lam) for lam in res.values) <= floor
+
+    def test_lapack_precision_follows_the_input(self, monkeypatch):
+        seen = []
+        for name in ("eigvals", "svd"):
+            lapack = getattr(np.linalg, name)
+
+            def spy(a, *args, _name=name, _lapack=lapack, **kwargs):
+                seen.append((_name, a.dtype))
+                return _lapack(a, *args, **kwargs)
+
+            monkeypatch.setattr(np.linalg, name, spy)
+        real = ts.bt_section(REAL_SYMBOLS[0], 20).entries
+        cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20).entries
+        eigenvalues(real)
+        smallest_singular_value(real, 0.5)
+        assert seen == [("eigvals", np.float64), ("svd", np.float64)]
+        seen.clear()
+        smallest_singular_value(real, 0.5 + 0.1j)
+        eigenvalues(cplx)
+        smallest_singular_value(cplx, 0.5)
+        assert seen == [("svd", np.complex128), ("eigvals", np.complex128), ("svd", np.complex128)]
+
+    @pytest.mark.parametrize("s", REAL_SYMBOLS)
+    def test_real_shift_agrees_with_the_complex_path(self, s):
+        N = 200
+        a = ts.bt_section(s, N).entries
+        floor = N * EPS * np.linalg.norm(a, 2)
+        real_eigs = [z.real for z in eigenvalues(a).values if z.imag == 0]
+        for lam in [*np.linspace(-2, 2, 9), *real_eigs[:3]]:
+            got = smallest_singular_value(a, lam)
+            want = np.linalg.svd(a - complex(lam) * np.eye(N), compute_uv=False)[-1]
+            assert got == pytest.approx(want, rel=1e-12) or max(got, want) <= floor
 
 
 class TestJacobiSVD:

@@ -160,6 +160,24 @@ class TestResolventFit:
         dists = np.linspace(0.05, 0.5, 16) * s.wiener_norm()
         assert ts.points_at_distance(curve, dists) == scalar_points_at_distance(curve, dists)
 
+    @pytest.mark.parametrize(
+        "coeffs", [{1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3}]
+    )
+    def test_points_at_distance_stops_when_no_bracket_moves(self, coeffs, monkeypatch):
+        # the 80-halving bisection reaches its fixed point after 55-56 rounds
+        dist_to_spectrum = ts.analysis.dist_to_spectrum
+        rounds = []
+
+        def counting(lam, curve):
+            rounds.append(len(rounds))
+            return dist_to_spectrum(lam, curve)
+
+        monkeypatch.setattr(ts.analysis, "dist_to_spectrum", counting)
+        s = ts.HarmonicSymbol(coeffs)
+        curve = ts.sample_curve(s, 512)
+        ts.points_at_distance(curve, np.linspace(0.05, 0.5, 16) * s.wiener_norm())
+        assert 0 < len(rounds) <= 60
+
 
 class TestOptions:
     def test_defaults_scale_with_symbol(self):

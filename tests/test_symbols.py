@@ -245,6 +245,24 @@ class TestCurveQueries:
             assert max(pairs) <= budget
             assert sum(pairs) == n * n_segments == n * M  # each pair once
 
+    def test_ends_are_kept_once_and_read_only(self):
+        c = ts.sample_curve(ts.HarmonicSymbol({2: 1, -1: 0.8}), 512)
+        assert np.array_equal(c.ends, np.roll(c.points, -1))
+        assert c.ends is c.ends
+        with pytest.raises(ValueError):
+            c.ends[0] = 0
+
+    def test_queries_copy_no_segment_ends(self, monkeypatch):
+        def no_roll(*args, **kwargs):
+            raise AssertionError("np.roll called")
+
+        monkeypatch.setattr(np, "roll", no_roll)
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 512)
+        assert ts.dist_to_spectrum(np.array([0.2, 3.0]), c)[1] > 1
+        assert ts.classify(3 + 1j, c, 0.1) is ts.Component.F0
+        assert ts.classify(0.1, c, 0.1) is ts.Component.BOUNDED_HOLE
+        assert ts.curve_diagnostics(c).jordan
+
     def test_memory_does_not_grow_with_the_sample_count(self):
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 2**17)
         ring = np.exp(2j * np.pi * np.arange(32) / 32)
