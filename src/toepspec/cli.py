@@ -1,8 +1,10 @@
 """Command-line front end.
 
 One subcommand per ``cmd_*`` handler, listed in ``build_parser``.  One JSON
-config document describes the experiment; outputs are CSV/JSON artifacts
-with 17-significant-digit floats so external plots are bit-stable.
+config document describes the experiment.  Outputs are CSV artifacts with
+17-significant-digit floats and ``report.json``, whose floats are Python's
+shortest round-trip ``repr``; both parse back to the same double, so
+external plots are bit-stable.
 
 Exit codes: 0 success, 2 bound violation, 3 eigensolver or SVD
 non-convergence, 64 usage/parse error, 74 I/O error.

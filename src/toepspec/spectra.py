@@ -19,8 +19,8 @@ import numpy as np
 
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
-from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve, winding_number
-from .symbols import _by_blocks, _on_curve, _segment_distances
+from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve
+from .symbols import _by_blocks, _on_curve, _ray_exits, _segment_distances, _windings
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -240,8 +240,7 @@ def classify(
     d = curve.distance_to(lam)
     if d < delta_curve or _on_curve(curve, d):
         return Component.NEAR_ESSENTIAL
-    wind = winding_number(curve, lam)
-    if wind != 0:
+    if _windings(curve, lam)[0] != 0:
         return Component.BOUNDED_HOLE
     escape_radius = 2.0 * curve.scale() + 1.0 + abs(lam)
     centroid = complex(np.mean(curve.points))
@@ -313,27 +312,29 @@ def resolvent_growth_fit(
 def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[complex]:
     """Deterministic outer-component points at prescribed spectrum distances.
 
-    Target i gets the ray from the curve centroid at angle 2 pi i / len(dists)
-    + pi / 16; all rays are bisected together, at most 80 halvings, until the
-    distance to the filled spectrum matches the targets.  The bisection stops
-    early at the first halving that moves no bracket end: every later one
-    would repeat it, so the points are those of all 80.
+    Target i gets the ray at angle 2 pi i / len(dists) + pi / 16 from one
+    start: the curve centroid when its distance to the filled spectrum is
+    below every target, else the curve sample nearest the centroid.  Its
+    point is where the ray leaves, for the last time, the target's
+    neighbourhood of the sampled polyline, the union of one stadium per
+    segment: the largest of the segments' exit parameters, in one pass of
+    ``_by_blocks``.  Farther out the ray stays beyond the target distance of
+    the curve, so the point has winding 0, lies in F0 and is at the target
+    distance from the filled spectrum, up to rounding.  A target that is not
+    a finite positive number raises ValueError.
     """
     from .analysis import dist_to_spectrum
 
-    centroid = complex(np.mean(curve.points))
-    r_outer = float(np.max(np.abs(curve.points - centroid)))
     d = np.array(dists, dtype=float)
+    for i, x in enumerate(d.tolist()):
+        if not 0 < x < math.inf:
+            raise ValueError(f"target distance dists[{i}] = {x} is not a finite positive number")
+    a, b = curve.points, curve.ends
+    start = complex(np.mean(a))
+    if len(d) and dist_to_spectrum(start, curve) >= d.min():
+        start = complex(a[np.argmin(np.abs(a - start))])
     angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / 16 for i in range(len(d))]
-    direction = np.array([complex(math.cos(a), math.sin(a)) for a in angles])
-    t_lo = np.zeros(len(d))
-    t_hi = r_outer + d + 1.0
-    # dist along each ray is continuous and reaches d before t_hi
-    for _ in range(80):
-        t_mid = 0.5 * (t_lo + t_hi)
-        closer = dist_to_spectrum(centroid + t_mid * direction, curve) < d
-        lo, hi = np.where(closer, t_mid, t_lo), np.where(closer, t_hi, t_mid)
-        if np.array_equal(lo, t_lo) and np.array_equal(hi, t_hi):
-            break
-        t_lo, t_hi = lo, hi
-    return [complex(z) for z in centroid + t_hi * direction]
+    direction = np.array([complex(math.cos(x), math.sin(x)) for x in angles])
+    # each ray is passed as direction * target, which _ray_exits splits again
+    t = _by_blocks(lambda v, k: np.max(_ray_exits(start, v, a[k], b[k]), axis=1), d * direction, len(a), np.maximum)
+    return [complex(z) for z in start + t * direction]

@@ -217,6 +217,33 @@ def _point_segment_distances(lam, a, b) -> np.ndarray:
     return np.abs(lam - closest)
 
 
+def _ray_exits(p, v, a, b) -> np.ndarray:
+    """Where the lines p + t v / |v| last leave the |v|-stadiums of segments a -> b, closed form.
+
+    The stadium is the disc of radius |v| about a, the same about b, and the
+    rectangle between them; the result is the largest t with p + t v / |v|
+    in it, or -inf where the line misses it.  Only the disc about a and the
+    rectangle's long sides are tested: on a closed polyline b is the next
+    segment's a, and a line that leaves the rectangle through a short side
+    leaves it inside an end disc.  Broadcasts like ``_point_segment_distances``.
+    """
+    d = np.abs(v)
+    u = v / d
+    w = p - a
+    # disc about a: |w + t u| = d, with w split along and across the line
+    along = w.real * u.real + w.imag * u.imag
+    across = np.abs(_cross2(u, w))
+    t_disc = np.where(across <= d, np.sqrt(np.maximum((d - across) * (d + across), 0.0)) - along, -np.inf)
+    # the line leaves the strip |cross(e, z - a)| <= d |e| at t_side; a long
+    # side holds that point when it projects into the segment
+    e = b - a
+    c0, c1 = _cross2(e, w), _cross2(e, u)
+    t_side = np.divide(d * np.abs(e) - np.sign(c1) * c0, np.abs(c1), out=np.zeros_like(c1), where=c1 != 0)
+    s = (w.real + t_side * u.real) * e.real + (w.imag + t_side * u.imag) * e.imag
+    on_side = (c1 != 0) & (0 <= s) & (s <= e.real * e.real + e.imag * e.imag)
+    return np.maximum(t_disc, np.where(on_side, t_side, -np.inf))
+
+
 def _cross2(u: np.ndarray, v: np.ndarray) -> np.ndarray:
     return u.real * v.imag - u.imag * v.real
 

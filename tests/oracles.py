@@ -5,9 +5,10 @@ polynomials via Leverrier-Faddeev in extended precision, root solving via
 the companion matrix (numpy.roots), brute-force series summation, dense
 section assembly, and decimal arithmetic.  ``scalar_points_at_distance``,
 ``scalar_sample_curve`` and ``rowwise_min_self_distance`` are the
-exceptions: they keep the one-ray-at-a-time bisection, the
+exceptions: they keep the one-ray-at-a-time bisection, which the closed-form
+ray exits must match within rounding where it hits its targets, and the
 one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
-code must reproduce.
+code must reproduce exactly.
 """
 
 from __future__ import annotations

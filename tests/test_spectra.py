@@ -1,13 +1,19 @@
+import math
+import re
+
 import numpy as np
 import pytest
 
 import toepspec as ts
-from oracles import scalar_points_at_distance
+from oracles import nonconstant_seed0_symbols, scalar_points_at_distance
+from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
 from toepspec.spectra import _chain_ladder
+from toepspec.symbols import _windings
 
 
 SMALL_LADDER = (60, 120, 240)
 MID_LADDER = (100, 200, 400)
+FIT_SYMBOLS = ({1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3})
 
 
 class TestPseudospectrum:
@@ -120,6 +126,15 @@ class TestClassify:
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
         assert ts.classify(3.0, curve, delta_curve=0.05) is ts.Component.F0
 
+    def test_polyline_distance_taken_once(self, monkeypatch):
+        # the winding follows the on-curve test without a second distance
+        curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
+        distance_to, calls = ts.SymbolCurve.distance_to, []
+        monkeypatch.setattr(ts.SymbolCurve, "distance_to", lambda c, z: calls.append(z) or distance_to(c, z))
+        assert ts.classify(0.0, curve, delta_curve=0.05) is ts.Component.BOUNDED_HOLE
+        assert ts.classify(3.0, curve, delta_curve=0.05) is ts.Component.F0
+        assert calls == [0.0, 3.0]
+
     def test_flat_interval_interior(self):
         # symbol 2cos(theta): curve is the segment [-2, 2]; off-segment
         # points connect to infinity
@@ -151,32 +166,49 @@ class TestResolventFit:
                 0.4, abs=2e-3
             )
 
-    @pytest.mark.parametrize(
-        "coeffs", [{1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3}]
-    )
+    @pytest.mark.parametrize("coeffs", FIT_SYMBOLS)
     def test_points_at_distance_matches_scalar_bisection(self, coeffs):
         s = ts.HarmonicSymbol(coeffs)
         curve = ts.sample_curve(s)
         dists = np.linspace(0.05, 0.5, 16) * s.wiener_norm()
-        assert ts.points_at_distance(curve, dists) == scalar_points_at_distance(curve, dists)
+        got = ts.points_at_distance(curve, dists)
+        for z, ref in zip(got, scalar_points_at_distance(curve, dists), strict=True):
+            assert abs(z - ref) <= 1e-14 * (1 + abs(ref))
 
-    @pytest.mark.parametrize(
-        "coeffs", [{1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3}]
-    )
-    def test_points_at_distance_stops_when_no_bracket_moves(self, coeffs, monkeypatch):
-        # the 80-halving bisection reaches its fixed point after 55-56 rounds
-        dist_to_spectrum = ts.analysis.dist_to_spectrum
-        rounds = []
+    def test_points_at_distance_hits_every_target(self):
+        # the centroid of draws such as the second lies farther from the
+        # filled spectrum than the smallest target; bisecting from it missed
+        # targets by up to 2.66x and returned one point twice
+        for s in nonconstant_seed0_symbols(390):
+            curve = ts.sample_curve(s)
+            dists = np.linspace(FIT_DIST_RANGE[0], FIT_DIST_RANGE[1], FIT_POINTS) * s.wiener_norm()
+            pts = np.array(ts.points_at_distance(curve, dists))
+            assert np.all(np.abs(ts.dist_to_spectrum(pts, curve) - dists) <= 1e-12 * dists), s.coeffs
+            assert np.all(_windings(curve, pts) == 0), s.coeffs
+            assert len(set(pts.tolist())) == len(pts), s.coeffs
 
-        def counting(lam, curve):
-            rounds.append(len(rounds))
-            return dist_to_spectrum(lam, curve)
+    def test_points_at_distance_is_the_last_exit(self):
+        # each point lies on its ray, and beyond it the ray never comes back
+        # within the target; the second and 24th draws start at a sample
+        symbols = [ts.HarmonicSymbol(c) for c in FIT_SYMBOLS] + nonconstant_seed0_symbols(40)
+        for s in symbols:
+            curve = ts.sample_curve(s)
+            dists = np.linspace(0.05, 0.5, 16) * s.wiener_norm()
+            start = complex(np.mean(curve.points))
+            if ts.dist_to_spectrum(start, curve) >= dists[0]:
+                start = curve.points[np.argmin(np.abs(curve.points - start))]
+            beyond = np.geomspace(1e-3, 3, 64) * curve.scale()
+            for i, (z, d) in enumerate(zip(ts.points_at_distance(curve, dists), dists)):
+                u = np.exp(1j * (2 * np.pi * i / 16 + np.pi / 16))
+                t = ((z - start) * u.conjugate()).real
+                assert t > 0 and abs(start + t * u - z) <= 1e-14 * (1 + abs(z)), (s.coeffs, i)
+                assert np.all(curve.distance_to(z + beyond * u) >= d), (s.coeffs, i)
 
-        monkeypatch.setattr(ts.analysis, "dist_to_spectrum", counting)
-        s = ts.HarmonicSymbol(coeffs)
-        curve = ts.sample_curve(s, 512)
-        ts.points_at_distance(curve, np.linspace(0.05, 0.5, 16) * s.wiener_norm())
-        assert 0 < len(rounds) <= 60
+    @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf, -math.inf])
+    def test_points_at_distance_rejects_a_bad_target(self, bad):
+        curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}))
+        with pytest.raises(ValueError, match=re.escape(f"dists[1] = {bad} is not a finite positive number")):
+            ts.points_at_distance(curve, [0.2, bad, 0.4])
 
 
 class TestOptions:

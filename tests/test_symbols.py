@@ -190,8 +190,9 @@ class TestWindingNumber:
 
 
 class TestCurveQueries:
-    """Distance, winding and the ray probes of classify all run through
-    ``symbols._by_blocks`` in blocks of at most PAIR_BUDGET pairs."""
+    """Distance, winding, the ray probes of classify and the ray exits of
+    points_at_distance all run through ``symbols._by_blocks`` in blocks of at
+    most PAIR_BUDGET pairs."""
 
     QUERIES = {
         "distance_to": lambda c, z: c.distance_to(z),
@@ -237,9 +238,15 @@ class TestCurveQueries:
         ts.dist_to_spectrum(np.concatenate([0.2 * ring, 3 * ring]), c)
         assert ts.classify(3 + 1j, c, 0.1) is ts.Component.F0
         assert ts.classify(0.1, c, 0.1) is ts.Component.BOUNDED_HOLE
+        assert len(ts.points_at_distance(c, np.linspace(0.1, 1, 40))) == 40
         queries = {(caller, ufunc) for caller, _, _, ufunc, _ in calls}
         # classify probes its rays one at a time, each a query of its own
-        expected = {("SymbolCurve.distance_to", np.minimum), ("_windings", np.add), ("classify", np.minimum)}
+        expected = {
+            ("SymbolCurve.distance_to", np.minimum),
+            ("_windings", np.add),
+            ("classify", np.minimum),
+            ("points_at_distance", np.maximum),
+        }
         assert queries == expected
         for _, n, n_segments, _, pairs in calls:
             assert max(pairs) <= budget
