@@ -131,7 +131,9 @@ def _plain(v):
 @dataclass(frozen=True)
 class SpectralReport:
     """``skipped_rungs``: section orders whose eigensolve did not converge,
-    ladder rungs and the Weyl order (``weyl_fraction`` is then None)."""
+    ladder rungs and the Weyl order (``weyl_fraction`` is then None).
+    ``weyl_fraction`` is also None, with no skipped rung, when the Weyl order
+    min(200, N_max) is below 16, ``weyl_diagnostic``'s minimum."""
 
     symbol: dict[int, complex]
     derivative_norm_sq: float

@@ -9,7 +9,6 @@ order, and classifies survivors against the symbol curve.
 
 from __future__ import annotations
 
-import cmath
 import enum
 import math
 from dataclasses import dataclass
@@ -19,8 +18,8 @@ import numpy as np
 
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
-from .symbols import HarmonicSymbol, SymbolCurve, curve_diagnostics, sample_curve
-from .symbols import _by_blocks, _on_curve, _ray_exits, _segment_distances, _windings
+from .symbols import HarmonicSymbol, SymbolCurve, sample_curve
+from .symbols import _by_blocks, _loop_windings, _on_curve, _ray_exits
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -231,38 +230,14 @@ def classify(
     """Classify a point against the symbol curve and its complement.
 
     nearEssential within delta_curve of the curve or on it (where winding is
-    undefined); F0 when winding is zero and one of 16 straight rays escapes
-    to a radius beyond the curve while staying farther than delta_curve / 4
-    from it, measured exactly segment to segment (for Jordan curves winding
-    zero alone suffices); boundedHole else.
+    undefined); else F0, the unbounded component, when the curve and each of its
+    crossing loops wind 0 times around it (``_loop_windings``); boundedHole else.
     """
     lam = complex(lam)
     d = curve.distance_to(lam)
     if d < delta_curve or _on_curve(curve, d):
         return Component.NEAR_ESSENTIAL
-    if _windings(curve, lam)[0] != 0:
-        return Component.BOUNDED_HOLE
-    escape_radius = 2.0 * curve.scale() + 1.0 + abs(lam)
-    centroid = complex(np.mean(curve.points))
-    base = lam - centroid
-    base_angle = cmath.phase(base) if base != 0 else 0.0
-    a, b = curve.points, curve.ends
-    for k in range(16):
-        angle = base_angle + 2.0 * math.pi * k / 16.0
-        target = lam + escape_radius * complex(math.cos(angle), math.sin(angle))
-        clearance = _by_blocks(
-            lambda q, j: np.min(_segment_distances(lam, q, a[j], b[j]), axis=1), target, len(a), np.minimum
-        )
-        if clearance[0] > 0.25 * delta_curve:
-            return Component.F0
-    # every probe ray grazed the curve: fall back on winding for Jordan-like
-    # curves, otherwise treat as a bounded winding-zero pocket
-    try:
-        if curve_diagnostics(curve).jordan:
-            return Component.F0
-    except ValueError:
-        pass
-    return Component.BOUNDED_HOLE
+    return Component.BOUNDED_HOLE if np.any(_loop_windings(curve, lam)) else Component.F0
 
 
 @dataclass(frozen=True)

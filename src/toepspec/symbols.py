@@ -327,15 +327,9 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     SELF_INTERSECT_RTOL * scale of each other.  Raises DegenerateCurveError
     when all points coincide or there are fewer than 4 (no non-adjacent pair).
 
-    The minimum over non-adjacent pairs is found by a sweep (Shamos & Hoey
-    1976).  U = min_k dist(segment k, segment k + 2) bounds it from above.
-    The segments are sorted by their projections on the wider axis; a pair
-    whose projections on either axis are more than U + PAIR_SLACK * scale
-    apart is farther apart than U, as computed too, so it cannot set the
-    minimum and is skipped.  Every other pair is evaluated by the same
-    elementwise formula as a full search, so the result is the same
-    double.  Pairs, those of U too, are evaluated PAIR_BUDGET at a time (as
-    in every curve query), or one sorted segment's (fewer than M) when more.
+    U = min_k dist(segment k, segment k + 2) bounds the minimum; only the pairs of
+    ``_near_pairs`` at reach U + PAIR_SLACK * scale can be nearer, as computed too,
+    and they are evaluated as in a full search, so the result is the same double.
     """
     p = c.points
     M = len(p)
@@ -367,7 +361,20 @@ def _min_self_distance(a: np.ndarray, b: np.ndarray, scale: float) -> float:
         k = np.arange(k0, min(k0 + PAIR_BUDGET, M))
         l = (k + 2) % M
         best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]))))
-    reach = best + PAIR_SLACK * scale
+    if best == 0:  # no pair is nearer, and a retraced curve puts every box within reach
+        return best
+    for k, l in _near_pairs(a, b, best + PAIR_SLACK * scale):
+        best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]), initial=math.inf)))
+    return best
+
+
+def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float):
+    """Non-adjacent segment pairs k < l of the closed polyline a[k] -> b[k] whose
+    boxes come within ``reach`` on both axes, each once, in index arrays of at most
+    PAIR_BUDGET pairs (or one row's, fewer than M, when more): a sort and sweep
+    (Shamos & Hoey 1976), each segment by its box's low end on the wider axis
+    against the later ones that start within ``reach`` of its high end."""
+    M = len(a)
     # x: the wider axis; x, y at the segment starts, x1, y1 at their ends
     x, x1, y, y1 = (
         (a.real, b.real, a.imag, b.imag) if np.ptp(a.real) >= np.ptp(a.imag) else (a.imag, b.imag, a.real, b.real)
@@ -386,10 +393,30 @@ def _min_self_distance(a: np.ndarray, b: np.ndarray, scale: float) -> float:
         rows = np.repeat(np.arange(i0, i1), counts[i0:i1])
         offsets = np.arange(len(rows)) - np.repeat(first[i0:i1] - first[i0], counts[i0:i1])
         k, l = order[rows], order[rows + 1 + offsets]
-        gap = np.abs(k - l)
-        keep = (gap > 1) & (gap < M - 1) & (np.maximum(y_lo[l] - y_hi[k], y_lo[k] - y_hi[l]) <= reach)
-        k, l = k[keep], l[keep]
-        if len(k):
-            best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]))))
+        k, l = np.minimum(k, l), np.maximum(k, l)
+        keep = (l - k > 1) & (l - k < M - 1) & (np.maximum(y_lo[l] - y_hi[k], y_lo[k] - y_hi[l]) <= reach)
+        yield k[keep], l[keep]
         i0 = i1
-    return best
+
+
+def _loop_windings(c: SymbolCurve, lam: complex) -> np.ndarray:
+    """Windings, as floats, of the polyline's crossing loops around ``lam`` (off the
+    polyline), then of the whole curve.  Each contact, a pair k < l of ``_near_pairs``
+    within SELF_INTERSECT_RTOL * scale (as makes ``jordan`` False), loops from X, where
+    their lines cross (clipped to segment k), along segments k + 1 .. l - 1 back to X.
+    With contacts as crossings the loops span the curve's cycles: all are 0 exactly when
+    ``lam`` is in the unbounded component, as outside the curve's box, where none is computed."""
+    a, b = c.points, c.ends
+    if not (a.real.min() <= lam.real <= a.real.max() and a.imag.min() <= lam.imag <= a.imag.max()):
+        return np.zeros(1)
+    chunks = [slice(j, j + PAIR_BUDGET) for j in range(0, len(a), PAIR_BUDGET)]
+    prefix = np.cumsum(np.concatenate([[0.0], *(np.angle((b[k] - lam) / (a[k] - lam)) for k in chunks)]))
+    tol = SELF_INTERSECT_RTOL * c.scale()
+    loops = []
+    for k, l in _near_pairs(a, b, tol):
+        e, f = b[k] - a[k], b[l] - a[l]
+        t = np.divide(_cross2(a[l] - a[k], f), _cross2(e, f), out=np.zeros(len(k)), where=_cross2(e, f) != 0)
+        x = a[k] + np.clip(t, 0.0, 1.0) * e
+        ends = np.angle((b[k] - lam) / (x - lam)) + np.angle((x - lam) / (a[l] - lam))
+        loops.append((prefix[l] - prefix[k + 1] + ends)[_segment_distances(a[k], b[k], a[l], b[l]) <= tol])
+    return np.rint(np.concatenate([*loops, prefix[-1:]]) / (2.0 * math.pi))

@@ -8,7 +8,8 @@ section assembly, and decimal arithmetic.  ``scalar_points_at_distance``,
 exceptions: they keep the one-ray-at-a-time bisection, which the closed-form
 ray exits must match within rounding where it hits its targets, and the
 one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
-code must reproduce exactly.
+code must reproduce exactly.  ``raster_f0`` finds the outer component by a
+flood fill, with no winding numbers.
 """
 
 from __future__ import annotations
@@ -180,6 +181,18 @@ def min_self_distance(points) -> float:
     return float(np.min(dist))
 
 
+def polygon_winding(vertices, z: complex) -> int:
+    """Winding of the closed polygon through ``vertices`` around ``z`` off it,
+    by signed crossings of the rightward horizontal ray from ``z`` (Sunday
+    2001): +1 for an edge crossing it upward, -1 downward; no angles."""
+    p = np.asarray(vertices, dtype=complex) - z
+    q = np.roll(p, -1)
+    side = (q.real - p.real) * (0.0 - p.imag) - (0.0 - p.real) * (q.imag - p.imag)  # z left of p -> q when > 0
+    up = (p.imag <= 0) & (q.imag > 0) & (side > 0)
+    down = (p.imag > 0) & (q.imag <= 0) & (side < 0)
+    return int(np.sum(up) - np.sum(down))
+
+
 def rowwise_min_self_distance(points) -> float:
     """Minimum distance between non-adjacent segments of a closed polyline:
     each segment k against the segments l >= k + 2 that share no vertex with
@@ -198,6 +211,47 @@ def rowwise_min_self_distance(points) -> float:
         if row_min[-1] == 0.0:
             break
     return float(np.min(row_min))
+
+
+def raster_f0(curve, n: int = 400) -> tuple[np.ndarray, np.ndarray]:
+    """Cell centres z[q, p] = xs[p] + 1j xs[q], xs = linspace(-1.2 scale,
+    1.2 scale, n), and whether a 4-connected flood fill from the raster's border
+    reaches each cell without entering one whose centre lies within 0.75 cell
+    of the sampled polyline.
+
+    The polyline lies in the disc of radius ``scale``, and a step between two
+    free neighbouring centres stays more than a quarter cell from it, so the
+    fill cannot cross it: every reached cell lies in F0, the unbounded
+    component of the polyline's complement.  Only the cells in each segment's
+    box, widened by 0.75 cell, are measured against that segment.
+    """
+    xs = np.linspace(-1.2 * curve.scale(), 1.2 * curve.scale(), n)
+    r = 0.75 * (xs[1] - xs[0])
+    z = xs[None, :] + 1j * xs[:, None]
+    free = np.ones((n, n), dtype=bool)
+    a = np.asarray(curve.points)
+
+    def window(u, v):
+        return slice(np.searchsorted(xs, min(u, v) - r), np.searchsorted(xs, max(u, v) + r, side="right"))
+
+    for p, q in zip(a, np.roll(a, -1)):
+        rows, cols = window(p.imag, q.imag), window(p.real, q.real)
+        w, d = z[rows, cols] - p, q - p
+        t = np.clip((w.real * d.real + w.imag * d.imag) / max(abs(d) ** 2, 1e-300), 0.0, 1.0)
+        free[rows, cols] &= np.abs(w - t * d) > r
+    reached = np.zeros((n, n), dtype=bool)
+    reached[[0, -1], :] = reached[:, [0, -1]] = True
+    reached &= free
+    while True:
+        grown = reached.copy()
+        grown[1:] |= reached[:-1]
+        grown[:-1] |= reached[1:]
+        grown[:, 1:] |= reached[:, :-1]
+        grown[:, :-1] |= reached[:, 1:]
+        grown &= free
+        if np.array_equal(grown, reached):
+            return z, reached
+        reached = grown
 
 
 def scalar_points_at_distance(curve, dists, n_angles: int = 8) -> list:

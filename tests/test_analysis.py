@@ -140,6 +140,15 @@ class TestWeylDiagnostic:
         payload = json.loads(rep.to_json())
         assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == [200]
 
+    def test_report_below_the_weyl_minimum_order(self, monkeypatch):
+        # min(200, 12) is below weyl_diagnostic's minimum order 16: no Weyl
+        # solve, no skipped rung, and the fraction stays None
+        calls = self.counting_eigvals(monkeypatch)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=(4, 8, 12)))
+        assert calls == [4, 8, 12]
+        payload = json.loads(rep.to_json())
+        assert payload["weyl_fraction"] is None and payload["skipped_rungs"] == []
+
 
 @pytest.fixture(scope="module")
 def report():

@@ -5,7 +5,8 @@ import numpy as np
 import pytest
 
 import toepspec as ts
-from oracles import nonconstant_seed0_symbols, scalar_points_at_distance
+from oracles import nonconstant_seed0_symbols, random_symbol, raster_f0, scalar_points_at_distance
+from test_acceptance import MIXED_SYMBOLS
 from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
 from toepspec.spectra import _chain_ladder
 from toepspec.symbols import _windings
@@ -14,6 +15,12 @@ from toepspec.symbols import _windings
 SMALL_LADDER = (60, 120, 240)
 MID_LADDER = (100, 200, 400)
 FIT_SYMBOLS = ({1: 1}, {2: 1, -1: 0.8}, {1: 0.5 + 0.5j, -1: 0.9, 2: 0.3})
+
+
+def seed0_draw(i: int) -> ts.HarmonicSymbol:
+    """Draw i (0-based, constant draws counted) of seed-0 ``random_symbol``."""
+    rng = np.random.default_rng(0)
+    return [random_symbol(rng) for _ in range(i + 1)][i]
 
 
 class TestPseudospectrum:
@@ -140,6 +147,40 @@ class TestClassify:
         # points connect to infinity
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 1}), 512)
         assert ts.classify(1j, curve, delta_curve=0.05) is ts.Component.F0
+
+    # Draws 22 and 28 hold winding-0 points (3 and 8 of these samples) whose
+    # only ways out bend around the curve; draw 37 holds 25 winding-0 points
+    # in bounded holes.  At the other symbols, sample vertices can fall on
+    # symmetric crossings.
+    @pytest.mark.parametrize(
+        "symbol, M",
+        [pytest.param(seed0_draw(i), 1024, id=f"draw{i}") for i in (22, 28, 37)]
+        + [
+            pytest.param(ts.HarmonicSymbol(c), M, id=f"{c}-{M}")
+            for c in (*MIXED_SYMBOLS, {1: 1, -1: 0.5}, {1: 1, -1: 1}, {2: 1}, {3: 1, -2: 1})
+            for M in (512, 1000)
+        ],
+    )
+    def test_f0_is_where_the_raster_fill_reaches(self, symbol, M):
+        curve = ts.sample_curve(symbol, M)
+        z, reached = (x[::10, ::10].ravel() for x in raster_f0(curve))
+        w = 0.05 * symbol.wiener_norm()
+        keep = (curve.distance_to(z) >= w) & (_windings(curve, z) == 0)
+        z, reached = z[keep], reached[keep]
+        f0 = np.array([ts.classify(p, curve, w) is ts.Component.F0 for p in z])
+        assert len(z) >= 500
+        assert z[f0 != reached].tolist() == []
+
+    @pytest.mark.parametrize("coeffs", [{0: 2}, {0: 1, 1: 1e-140}])
+    def test_point_like_curve_runs_no_pair_search(self, coeffs, monkeypatch):
+        # every pair of segments touches: M^2 / 2 contacts at M = 2^20
+        def no_pairs(*args):
+            raise AssertionError("_near_pairs called")
+
+        curve = ts.sample_curve(ts.HarmonicSymbol(coeffs), 2**20)
+        monkeypatch.setattr(ts.symbols, "_near_pairs", no_pairs)
+        assert ts.classify(3, curve, 0.1) is ts.Component.F0
+        assert ts.classify(coeffs[0] + 1e-6j, curve, 1e-9) is ts.Component.F0
 
 
 class TestResolventFit:

@@ -12,12 +12,13 @@ import toepspec as ts
 from oracles import (
     min_self_distance,
     nonconstant_seed0_symbols,
+    polygon_winding,
     random_symbol,
     rowwise_min_self_distance,
     scalar_sample_curve,
 )
 from toepspec.cli import load_config
-from toepspec.symbols import _segment_distances
+from toepspec.symbols import _loop_windings, _segment_distances
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 _rng = np.random.default_rng(0)
@@ -190,9 +191,8 @@ class TestWindingNumber:
 
 
 class TestCurveQueries:
-    """Distance, winding, the ray probes of classify and the ray exits of
-    points_at_distance all run through ``symbols._by_blocks`` in blocks of at
-    most PAIR_BUDGET pairs."""
+    """Distance, winding and the ray exits of points_at_distance all run
+    through ``symbols._by_blocks`` in blocks of at most PAIR_BUDGET pairs."""
 
     QUERIES = {
         "distance_to": lambda c, z: c.distance_to(z),
@@ -240,11 +240,9 @@ class TestCurveQueries:
         assert ts.classify(0.1, c, 0.1) is ts.Component.BOUNDED_HOLE
         assert len(ts.points_at_distance(c, np.linspace(0.1, 1, 40))) == 40
         queries = {(caller, ufunc) for caller, _, _, ufunc, _ in calls}
-        # classify probes its rays one at a time, each a query of its own
         expected = {
             ("SymbolCurve.distance_to", np.minimum),
             ("_windings", np.add),
-            ("classify", np.minimum),
             ("points_at_distance", np.maximum),
         }
         assert queries == expected
@@ -377,7 +375,10 @@ class TestCurveDiagnostics:
         assert len(near) >= M // 4 and near <= seen
         assert max(sizes) <= block * M
 
-    @pytest.mark.parametrize("coeffs", [{1: 1}, {1: 1, -1: 0.5}, {2: 1, -1: 0.8}])
+    # {0: 1, 1: 1e-140}: a vertical segment 2e-140 long, traced up and down;
+    # segments k and k + 2 touch at its ends, and every box is within any
+    # positive reach of every other
+    @pytest.mark.parametrize("coeffs", [{1: 1}, {1: 1, -1: 0.5}, {2: 1, -1: 0.8}, {0: 1, 1: 1e-140}])
     def test_pair_search_evaluates_linearly_many_pairs(self, coeffs, monkeypatch):
         M = 2**14
         pairs = []
@@ -410,8 +411,51 @@ class TestCurveDiagnostics:
 
     def test_fewer_than_four_samples_rejected(self):
         c = ts.SymbolCurve(points=[0, 1, 1j], tangents=[1, 1, 1])
-        with pytest.raises(ts.DegenerateCurveError, match="3 samples"):  # a ValueError, as classify expects
+        with pytest.raises(ts.DegenerateCurveError, match="3 samples"):
             ts.curve_diagnostics(c)
+
+
+class TestLoopWindings:
+    @pytest.mark.parametrize(
+        "coeffs", [{2: 1, -1: 0.8}, {1: 1, -2: 0.6j}, {3: 1, -2: 1}, *(s.coeffs for s in nonconstant_seed0_symbols(8))]
+    )
+    def test_each_loop_winds_as_its_own_polygon(self, coeffs):
+        # every contact by a full search; near its crossing X the loop's two
+        # end pieces, X -> b[k] and a[l] -> X, decide the winding
+        c = ts.sample_curve(ts.HarmonicSymbol(coeffs), 256)
+        a, b, M = c.points, c.ends, len(c)
+        tol = ts.symbols.SELF_INTERSECT_RTOL * c.scale()
+        contacts = [
+            (k, l)
+            for k in range(M - 2)
+            for l in np.flatnonzero(_segment_distances(a[k], b[k], a, b) <= tol).tolist()
+            if k + 1 < l < M - (k == 0)
+        ]
+        loops = []
+        for k, l in contacts:
+            e, f = b[k] - a[k], b[l] - a[l]
+            system = np.array([[e.real, -f.real], [e.imag, -f.imag]])
+            d = a[l] - a[k]
+            t = np.linalg.solve(system, [d.real, d.imag])[0] if np.linalg.det(system) != 0 else 0.0
+            x = a[k] + min(max(t, 0.0), 1.0) * e
+            loops.append(np.concatenate(([x], a[k + 1 : l + 1])))
+        checked = 0
+        for p in loops:
+            for z in p[0] + np.outer([1e-3, 0.3], np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)).ravel() * abs(p[1] - p[0]):
+                if c.distance_to(z) < 1e-5 * abs(p[1] - p[0]):
+                    continue
+                got = _loop_windings(c, z)
+                assert sorted(got[:-1].tolist()) == sorted(polygon_winding(p, z) for p in loops)
+                assert got[-1] == polygon_winding(a, z)
+                checked += 1
+        assert checked >= 8 * len(loops) > 0
+
+    def test_bow_tie(self):
+        # segments 0 and 2 cross at 1 + 1j; the loop from there is the right
+        # lobe, traced clockwise
+        c = ts.SymbolCurve(points=[0, 2 + 2j, 2, 2j], tangents=np.ones(4))
+        assert _loop_windings(c, 1.01 + 1j).tolist() == [-1, -1]
+        assert _loop_windings(c, 0.99 + 1j).tolist() == [0, 1]
 
 
 class TestSegmentDistances:
