@@ -28,7 +28,6 @@ from .linalg import (
     EigenResult,
     eigenvalues,
     smallest_singular_value,
-    singular_values_jacobi,
 )
 from .spectra import (
     Rect,

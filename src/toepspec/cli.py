@@ -22,7 +22,7 @@ from pathlib import Path
 import numpy as np
 
 from .analysis import ReportOptions, build_report
-from .linalg import eigenvalues, singular_values_jacobi
+from .linalg import eigenvalues
 from .sections import (
     bt_section,
     hs_bound,
@@ -268,9 +268,9 @@ def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
         picks = [(0, 0), (cfg.ny - 1, cfg.nx - 1), (cfg.ny // 2, cfg.nx // 2)]
         for q, p in picks:
             lam = complex(res[p], ims[q])
-            sv = singular_values_jacobi(section.entries - lam * np.eye(order))[-1]
+            sv = np.linalg.svd(section.entries - lam * np.eye(order), compute_uv=False)[-1]
             worst = max(worst, abs(sv - fieldvals.sigma_min[q, p]))
-        print(f"svd check: max |jacobi - lapack| = {_fmt(worst)}")
+        print(f"svd check: max |band - dense| = {_fmt(worst)}")
     return EXIT_OK
 
 
@@ -320,7 +320,7 @@ def build_parser() -> argparse.ArgumentParser:
             "pseudospectrum",
             cmd_pseudospectrum,
             "write a sigma_min grid over a region",
-            {"--svd-check": "verify sigma_min with the Jacobi SVD oracle"},
+            {"--svd-check": "compare sigma_min at three nodes with a dense LAPACK SVD"},
         ),
         ("report", cmd_report, "run the full pipeline and write report.json", {}),
         ("curve", cmd_curve, "sample the symbol curve and print diagnostics", {}),

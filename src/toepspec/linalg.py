@@ -1,19 +1,31 @@
-"""Dense linear algebra.
+"""Linear algebra through LAPACK as shipped with NumPy.
 
-Eigenvalues and the smallest singular value go through LAPACK as shipped
-with NumPy (``np.linalg.eigvals`` and ``np.linalg.svd``).  A matrix with no
-nonzero imaginary part (for ``smallest_singular_value``: A - lam I) is passed
-as real, so it runs ``dgeev`` / ``dgesdd``, and its eigenvalues come in exact
-conjugate pairs; any other runs ``zgeev`` / ``zgesdd``.  A slow one-sided
-Jacobi SVD is kept as an independent verification oracle.
+Eigenvalues go through ``np.linalg.eigvals``.  The smallest singular value
+of A - lam I is computed on its band, since every HT/BT section is banded:
+LAPACK's ``xGBBRD`` reduces the band to a real bidiagonal, whose singular
+values ``DLASQ1`` (dqds) gives; both are backward stable, like ``gesdd``,
+and cost O(N^2 (kl + ku)) instead of O(N^3).  The routines are looked up
+once, on the first call, in the library ``np.linalg`` itself calls, under
+the ILP64 names of NumPy's wheels only.  Where they are not found (MKL or
+system-LAPACK builds, Windows), and wherever sigma_min < TAU ||A - lam I||_2,
+where rounding dominates, the value is dense ``np.linalg.svd``'s (``gesdd``).
+
+A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
+A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
+its eigenvalues come in exact conjugate pairs; any other runs the complex
+routines (``zgeev``, ``zgbbrd``, ``zgesdd``).
 """
 
 from __future__ import annotations
 
-import math
+import ctypes
+import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+# below TAU * sigma_max the band sigma_min is recomputed densely
+TAU = 4e8 * np.finfo(float).eps
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -60,47 +72,81 @@ def eigenvalues(a: np.ndarray) -> EigenResult:
     return EigenResult(values=values, converged=True, sweeps=0)
 
 
+# every argument by reference, then for xGBBRD the Fortran length of VECT
+_ARGUMENTS = {
+    "dgbbrd": [ctypes.c_void_p] * 18 + [ctypes.c_size_t],
+    "zgbbrd": [ctypes.c_void_p] * 19 + [ctypes.c_size_t],
+    "dlasq1": [ctypes.c_void_p] * 5,
+}
+
+
+@functools.cache
+def _lapack() -> dict | None:
+    """``dgbbrd``, ``zgbbrd`` and ``dlasq1`` from the library ``np.linalg`` calls,
+    under the ILP64 names of NumPy's wheels (``scipy_<name>_64_`` from numpy 2,
+    ``<name>_64_`` before), or None where neither resolves."""
+    try:
+        lib = ctypes.CDLL(np.linalg._umath_linalg.__file__)
+    except (AttributeError, OSError):
+        return None
+    for pattern in ("scipy_{}_64_", "{}_64_"):
+        try:
+            routines = {name: getattr(lib, pattern.format(name)) for name in _ARGUMENTS}
+        except AttributeError:
+            continue
+        for name, fn in routines.items():
+            fn.argtypes, fn.restype = _ARGUMENTS[name], None
+        return routines
+    return None
+
+
+def _ref(v: int):
+    """A LAPACK integer argument: a reference to a 64-bit int."""
+    return ctypes.byref(ctypes.c_int64(v))
+
+
+def _band_singular_values(routines: dict, a: np.ndarray, lam: complex) -> np.ndarray:
+    """All singular values of A - lam I, largest first: ``xGBBRD`` on the band
+    (kl, ku read off the nonzero pattern), then ``DLASQ1``.  A nonzero INFO
+    raises LinAlgError."""
+    n = a.shape[0]
+    i, j = np.nonzero(a)
+    kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+    # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
+    ab = np.zeros((n, kl + ku + 1), dtype=complex)
+    for off in range(-ku, kl + 1):
+        ab[max(0, -off) : n - max(0, off), ku + off] = np.diagonal(a, -off)
+    ab[:, ku] -= lam
+    ab = np.ascontiguousarray(_real_if_real(ab))
+    d, e, info = np.empty(n), np.zeros(n), ctypes.c_int64(0)
+    dummy = np.zeros(1, dtype=ab.dtype)  # Q, PT and C, not referenced with VECT = 'N'
+    work = [np.empty(2 * n)] if ab.dtype == float else [np.empty(n, dtype=complex), np.empty(n)]
+    gbbrd = routines["dgbbrd" if ab.dtype == float else "zgbbrd"]
+    # (VECT, M, N, NCC, KL, KU, AB, LDAB, D, E, Q, LDQ, PT, LDPT, C, LDC, WORK[, RWORK], INFO, len(VECT))
+    gbbrd(b"N", _ref(n), _ref(n), _ref(0), _ref(kl), _ref(ku), ab.ctypes, _ref(kl + ku + 1), d.ctypes, e.ctypes,
+          dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), *(w.ctypes for w in work),
+          ctypes.byref(info), 1)
+    if info.value == 0:
+        routines["dlasq1"](_ref(n), d.ctypes, e.ctypes, np.empty(4 * n).ctypes, ctypes.byref(info))
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
+    return d
+
+
 def smallest_singular_value(a: np.ndarray, lam: complex = 0j) -> float:
-    """sigma_min(A - lam I) via LAPACK (``np.linalg.svd``), in real arithmetic
-    when A - lam I is real."""
+    """sigma_min(A - lam I), in real arithmetic when A - lam I is real.
+
+    From the band routines (see the module docstring) when they are found and
+    their sigma_min is at least TAU * ||A - lam I||_2; else, and then bit for
+    bit, from dense LAPACK ``np.linalg.svd``.
+    """
     a = _as_square(a)
+    lam = complex(lam)
+    routines = _lapack()
+    if routines is not None:
+        sv = _band_singular_values(routines, a, lam)
+        if sv[-1] >= TAU * sv[0]:
+            return float(sv[-1])
     b = a.copy()
-    b.flat[:: a.shape[0] + 1] -= complex(lam)
+    b.flat[:: a.shape[0] + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])
-
-
-def singular_values_jacobi(
-    a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
-) -> np.ndarray:
-    """All singular values via one-sided Jacobi; slow verification oracle."""
-    g = np.asarray(a, dtype=complex).copy()
-    if g.ndim != 2:
-        raise ValueError("expected a 2-D matrix")
-    n = g.shape[1]
-    for _ in range(max_sweeps):
-        rotated = False
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                gp = g[:, p].copy()
-                gq = g[:, q].copy()
-                app = float(np.real(np.vdot(gp, gp)))
-                aqq = float(np.real(np.vdot(gq, gq)))
-                apq = complex(np.vdot(gp, gq))
-                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0:
-                    continue
-                rotated = True
-                # absorb the phase into column q, then rotate as in the
-                # real symmetric case
-                phase = apq / abs(apq)
-                gq = gq * phase.conjugate()
-                rpq = abs(apq)
-                tau = (aqq - app) / (2.0 * rpq)
-                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = c * t
-                g[:, p] = c * gp - s * gq
-                g[:, q] = s * gp + c * gq
-        if not rotated:
-            break
-    sv = np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
-    return np.sort(sv)[::-1]

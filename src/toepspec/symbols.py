@@ -172,6 +172,19 @@ class SymbolCurve:
         b.setflags(write=False)
         return b
 
+    @functools.cached_property
+    def _contacts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(k, l, X) of the crossing loops of ``_loop_windings``, built on first read."""
+        a, b = self.points, self.ends
+        tol = SELF_INTERSECT_RTOL * self.scale()
+        found = []
+        for k, l in _near_pairs(a, b, tol):
+            e, f = b[k] - a[k], b[l] - a[l]
+            t = np.divide(_cross2(a[l] - a[k], f), _cross2(e, f), out=np.zeros(len(k)), where=_cross2(e, f) != 0)
+            near = _segment_distances(a[k], b[k], a[l], b[l]) <= tol
+            found.append((k[near], l[near], (a[k] + np.clip(t, 0.0, 1.0) * e)[near]))
+        return tuple(np.concatenate(parts) for parts in zip(*found))
+
     def __len__(self) -> int:
         return len(self.points)
 
@@ -405,18 +418,13 @@ def _loop_windings(c: SymbolCurve, lam: complex) -> np.ndarray:
     within SELF_INTERSECT_RTOL * scale (as makes ``jordan`` False), loops from X, where
     their lines cross (clipped to segment k), along segments k + 1 .. l - 1 back to X.
     With contacts as crossings the loops span the curve's cycles: all are 0 exactly when
-    ``lam`` is in the unbounded component, as outside the curve's box, where none is computed."""
+    ``lam`` is in the unbounded component, as outside the curve's box, where none is computed.
+    The contacts depend on the curve alone and are found once (``SymbolCurve._contacts``)."""
     a, b = c.points, c.ends
     if not (a.real.min() <= lam.real <= a.real.max() and a.imag.min() <= lam.imag <= a.imag.max()):
         return np.zeros(1)
     chunks = [slice(j, j + PAIR_BUDGET) for j in range(0, len(a), PAIR_BUDGET)]
     prefix = np.cumsum(np.concatenate([[0.0], *(np.angle((b[k] - lam) / (a[k] - lam)) for k in chunks)]))
-    tol = SELF_INTERSECT_RTOL * c.scale()
-    loops = []
-    for k, l in _near_pairs(a, b, tol):
-        e, f = b[k] - a[k], b[l] - a[l]
-        t = np.divide(_cross2(a[l] - a[k], f), _cross2(e, f), out=np.zeros(len(k)), where=_cross2(e, f) != 0)
-        x = a[k] + np.clip(t, 0.0, 1.0) * e
-        ends = np.angle((b[k] - lam) / (x - lam)) + np.angle((x - lam) / (a[l] - lam))
-        loops.append((prefix[l] - prefix[k + 1] + ends)[_segment_distances(a[k], b[k], a[l], b[l]) <= tol])
-    return np.rint(np.concatenate([*loops, prefix[-1:]]) / (2.0 * math.pi))
+    k, l, x = c._contacts
+    ends = np.angle((b[k] - lam) / (x - lam)) + np.angle((x - lam) / (a[l] - lam))
+    return np.rint(np.concatenate([prefix[l] - prefix[k + 1] + ends, prefix[-1:]]) / (2.0 * math.pi))

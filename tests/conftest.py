@@ -1,5 +1,5 @@
 """Shared test plumbing: a header with the BLAS set-up, acceptance-gate
-summary lines and fixtures that make the LAPACK eigensolver or SVD fail.
+summary lines and fixtures that make the LAPACK eigensolver or SVDs fail.
 
 The acceptance tests register one entry per criterion; printing happens in
 the terminal summary so the PASS/FAIL lines survive pytest's output capture
@@ -7,10 +7,13 @@ and always appear in a plain ``pytest -v`` log.  The header records what a
 wall-clock budget depends on, so a slow run can be diagnosed from its log.
 """
 
+import ctypes
 import os
 
 import numpy as np
 import pytest
+
+from toepspec import linalg
 
 ACCEPTANCE_LOG: list[str] = []
 THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -59,11 +62,20 @@ def eigvals_fails_at(monkeypatch):
     return arm
 
 
+@ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 5)
+def _failing_dlasq1(n, d, e, work, info):
+    ctypes.c_int64.from_address(info).value = 1
+
+
 @pytest.fixture
 def svd_fails(monkeypatch):
-    """Make every LAPACK singular value call raise LinAlgError."""
+    """Make every LAPACK singular value call raise LinAlgError: dense
+    ``np.linalg.svd``, and the band path through a DLASQ1 that sets INFO = 1."""
 
     def svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
 
     monkeypatch.setattr(np.linalg, "svd", svd)
+    routines = linalg._lapack()
+    if routines is not None:
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dlasq1": _failing_dlasq1})

@@ -9,7 +9,8 @@ exceptions: they keep the one-ray-at-a-time bisection, which the closed-form
 ray exits must match within rounding where it hits its targets, and the
 one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
 code must reproduce exactly.  ``raster_f0`` finds the outer component by a
-flood fill, with no winding numbers.
+flood fill, with no winding numbers.  ``singular_values_jacobi`` is a
+one-sided Jacobi SVD, independent of LAPACK.
 """
 
 from __future__ import annotations
@@ -50,6 +51,43 @@ def match_distance(got, expected) -> float:
         idx = int(np.argmin([abs(lam - x) for x in pool]))
         worst = max(worst, abs(lam - pool.pop(idx)))
     return worst
+
+
+def singular_values_jacobi(
+    a: np.ndarray, tol: float = 1e-12, max_sweeps: int = 60
+) -> np.ndarray:
+    """All singular values via one-sided Jacobi; slow verification oracle."""
+    g = np.asarray(a, dtype=complex).copy()
+    if g.ndim != 2:
+        raise ValueError("expected a 2-D matrix")
+    n = g.shape[1]
+    for _ in range(max_sweeps):
+        rotated = False
+        for p in range(n - 1):
+            for q in range(p + 1, n):
+                gp = g[:, p].copy()
+                gq = g[:, q].copy()
+                app = float(np.real(np.vdot(gp, gp)))
+                aqq = float(np.real(np.vdot(gq, gq)))
+                apq = complex(np.vdot(gp, gq))
+                if abs(apq) <= tol * math.sqrt(app * aqq) or apq == 0:
+                    continue
+                rotated = True
+                # absorb the phase into column q, then rotate as in the
+                # real symmetric case
+                phase = apq / abs(apq)
+                gq = gq * phase.conjugate()
+                rpq = abs(apq)
+                tau = (aqq - app) / (2.0 * rpq)
+                t = math.copysign(1.0, tau) / (abs(tau) + math.sqrt(1.0 + tau * tau))
+                c = 1.0 / math.sqrt(1.0 + t * t)
+                s = c * t
+                g[:, p] = c * gp - s * gq
+                g[:, q] = s * gp + c * gq
+        if not rotated:
+            break
+    sv = np.sqrt(np.sum(np.abs(g) ** 2, axis=0))
+    return np.sort(sv)[::-1]
 
 
 def elementary_symmetric(values: np.ndarray) -> np.ndarray:

@@ -394,9 +394,9 @@ class TestPseudospectrum:
         path = write_config(tmp_path, doc)
         code = cli.main(["pseudospectrum", "--config", path, "--svd-check"])
         assert code == cli.EXIT_OK
-        out = capsys.readouterr().out
-        gap = float(out.rsplit("=", 1)[1])
-        assert gap < 1e-6
+        last = capsys.readouterr().out.splitlines()[-1]
+        assert last.startswith("svd check: max |band - dense| = ")
+        assert float(last.rsplit("=", 1)[1]) < 1e-12
 
 
 class TestCurve:

@@ -6,9 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import toepspec as ts
+from toepspec import linalg
 from toepspec.cli import load_config
-from toepspec.linalg import eigenvalues, singular_values_jacobi, smallest_singular_value
-from oracles import charpoly_roots, match_distance, random_symbol
+from toepspec.linalg import eigenvalues, smallest_singular_value
+from oracles import charpoly_roots, match_distance, nonconstant_seed0_symbols, random_symbol, singular_values_jacobi
+from test_acceptance import MIXED_SYMBOLS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 EPS = np.finfo(float).eps
@@ -138,24 +140,30 @@ class TestRealArithmetic:
 
     def test_lapack_precision_follows_the_input(self, monkeypatch):
         seen = []
-        for name in ("eigvals", "svd"):
-            lapack = getattr(np.linalg, name)
+        eigvals, svd, routines = np.linalg.eigvals, np.linalg.svd, linalg._lapack()
+        assert routines is not None, "no band routines found in numpy's LAPACK"
 
-            def spy(a, *args, _name=name, _lapack=lapack, **kwargs):
-                seen.append((_name, a.dtype))
-                return _lapack(a, *args, **kwargs)
+        def spy(name):
+            return lambda *args: (seen.append(name), routines[name](*args))
 
-            monkeypatch.setattr(np.linalg, name, spy)
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: (seen.append(("eigvals", a.dtype)), eigvals(a))[1])
+        monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (seen.append(("svd", a.dtype)), svd(a, **kw))[1])
+        monkeypatch.setattr(linalg, "_lapack", lambda: {name: spy(name) for name in routines})
         real = ts.bt_section(REAL_SYMBOLS[0], 20).entries
         cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20).entries
         eigenvalues(real)
         smallest_singular_value(real, 0.5)
-        assert seen == [("eigvals", np.float64), ("svd", np.float64)]
+        assert seen == [("eigvals", np.float64), "dgbbrd", "dlasq1"]
         seen.clear()
         smallest_singular_value(real, 0.5 + 0.1j)
         eigenvalues(cplx)
         smallest_singular_value(cplx, 0.5)
-        assert seen == [("svd", np.complex128), ("eigvals", np.complex128), ("svd", np.complex128)]
+        assert seen == ["zgbbrd", "dlasq1", ("eigvals", np.complex128), "zgbbrd", "dlasq1"]
+        seen.clear()
+        # an exact eigenvalue: below TAU, so the dense arbiter runs, in the same arithmetic
+        smallest_singular_value(np.diag([1.0, 2.0, 3.0]), 2.0)
+        smallest_singular_value(np.diag([1.0, 2.0 + 1j, 3.0]), 2.0 + 1j)
+        assert seen == ["dgbbrd", "dlasq1", ("svd", np.float64), "zgbbrd", "dlasq1", ("svd", np.complex128)]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):
@@ -167,6 +175,72 @@ class TestRealArithmetic:
             got = smallest_singular_value(a, lam)
             want = np.linalg.svd(a - complex(lam) * np.eye(N), compute_uv=False)[-1]
             assert got == pytest.approx(want, rel=1e-12) or max(got, want) <= floor
+
+
+GATE_SYMBOLS = [
+    load_config(str(CONFIGS / "ellipse.json")).symbol,
+    *(ts.HarmonicSymbol(c) for c in MIXED_SYMBOLS),
+    *nonconstant_seed0_symbols(20),
+]
+
+
+def _nodes(s, a) -> list:
+    """A 5 x 4 grid over +-1.2 w, w the Wiener norm, and four eigenvalues of ``a``,
+    where sigma_min falls below TAU and below the backward-error floor."""
+    w = s.wiener_norm()
+    grid = [complex(x, y) for x in np.linspace(-1.2 * w, 1.2 * w, 5) for y in np.linspace(-1.2 * w, 1.2 * w, 4)]
+    ev = eigenvalues(a).values
+    return grid + list(ev[np.linspace(0, len(ev) - 1, 4).astype(int)])
+
+
+class TestBandPath:
+    """sigma_min from xGBBRD + DLASQ1 on the band, with dense gesdd below TAU."""
+
+    @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
+    def test_agrees_with_gesdd(self, s):
+        for N in (50, 200):
+            for a in (ts.bt_section(s, N).entries, ts.ht_section(s, N).entries):
+                for lam in _nodes(s, a):
+                    sv = np.linalg.svd(a - lam * np.eye(N), compute_uv=False)
+                    got = smallest_singular_value(a, lam)
+                    assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (N, lam)
+
+    def test_fit_never_calls_dense_svd(self, monkeypatch):
+        routines, calls = linalg._lapack(), []
+        assert routines is not None, "no band routines found in numpy's LAPACK"
+
+        def svd(*args, **kwargs):
+            raise AssertionError("dense SVD called")
+
+        def dlasq1(*args):
+            calls.append(args)
+            routines["dlasq1"](*args)
+
+        monkeypatch.setattr(np.linalg, "svd", svd)
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dlasq1": dlasq1})
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        curve = ts.sample_curve(s)
+        w = s.wiener_norm()
+        pts = ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16))
+        ts.resolvent_growth_fit(s, pts, 200, curve=curve)
+        assert len(calls) == 16
+
+    @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
+    def test_dense_value_bit_for_bit(self, monkeypatch, s):
+        a = ts.bt_section(s, 50).entries
+        dense = {lam: np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False) for lam in _nodes(s, a)}
+        below = [lam for lam, sv in dense.items() if sv[-1] < linalg.TAU * sv[0]]
+        assert len(below) >= 4  # the eigenvalue nodes
+        for lam in below:
+            assert smallest_singular_value(a, lam) == dense[lam][-1]
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)  # the routines not found
+        for lam, sv in dense.items():
+            assert smallest_singular_value(a, lam) == sv[-1]
+
+    def test_nonzero_info_raises(self, svd_fails):
+        a = ts.bt_section(GATE_SYMBOLS[0], 20).entries
+        with pytest.raises(np.linalg.LinAlgError, match=r"band SVD failed \(INFO = 1\)"):
+            smallest_singular_value(a, 0.3 + 0.2j)
 
 
 class TestJacobiSVD:

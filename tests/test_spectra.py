@@ -7,6 +7,7 @@ import pytest
 import toepspec as ts
 from oracles import nonconstant_seed0_symbols, random_symbol, raster_f0, scalar_points_at_distance
 from test_acceptance import MIXED_SYMBOLS
+from toepspec import symbols
 from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
 from toepspec.spectra import _chain_ladder
 from toepspec.symbols import _windings
@@ -141,6 +142,17 @@ class TestClassify:
         assert ts.classify(0.0, curve, delta_curve=0.05) is ts.Component.BOUNDED_HOLE
         assert ts.classify(3.0, curve, delta_curve=0.05) is ts.Component.F0
         assert calls == [0.0, 3.0]
+
+    def test_contacts_swept_once_per_curve(self, monkeypatch):
+        # {2: 1, -1: 0.8} crosses itself; the second point is inside the box too
+        curve = ts.sample_curve(ts.HarmonicSymbol({2: 1, -1: 0.8}))
+        near_pairs, calls = symbols._near_pairs, []
+        monkeypatch.setattr(symbols, "_near_pairs", lambda *args: calls.append(args) or near_pairs(*args))
+        assert ts.classify(3.0, curve, delta_curve=0.05) is ts.Component.F0  # outside the box: no sweep
+        assert calls == []
+        assert ts.classify(0.0, curve, delta_curve=0.05) is ts.Component.BOUNDED_HOLE
+        assert ts.classify(0.5j, curve, delta_curve=0.05) is ts.Component.BOUNDED_HOLE
+        assert len(calls) == 1 and len(curve._contacts[0]) > 0
 
     def test_flat_interval_interior(self):
         # symbol 2cos(theta): curve is the segment [-2, 2]; off-segment
