@@ -16,7 +16,6 @@ from .symbols import (
 )
 from .sections import (
     FiniteSection,
-    SectionKind,
     SeriesResult,
     ht_section,
     bt_section,

@@ -1,14 +1,15 @@
 """Linear algebra through LAPACK as shipped with NumPy.
 
-Eigenvalues go through ``np.linalg.eigvals``.  The smallest singular value
-of A - lam I is computed on its band, since every HT/BT section is banded:
-LAPACK's ``xGBBRD`` reduces the band to a real bidiagonal, whose singular
-values ``DLASQ1`` (dqds) gives; both are backward stable, like ``gesdd``,
-and cost O(N^2 (kl + ku)) instead of O(N^3).  The routines are looked up
-once, on the first call, in the library ``np.linalg`` itself calls, under
-the ILP64 names of NumPy's wheels only.  Where they are not found (MKL or
-system-LAPACK builds, Windows), and wherever sigma_min < TAU ||A - lam I||_2,
-where rounding dominates, the value is dense ``np.linalg.svd``'s (``gesdd``).
+Eigenvalues of a dense square matrix go through ``np.linalg.eigvals``.
+sigma_min(A - lam I) takes A as a banded ``FiniteSection`` and packs LAPACK
+band storage from its diagonals as stored (kl, ku its extreme offsets):
+``xGBBRD`` reduces the band to a real bidiagonal, whose singular values
+``DLASQ1`` (dqds) gives; both are backward stable, like ``gesdd``, and cost
+O(N^2 (kl + ku)) instead of O(N^3).  The routines are looked up once, on the
+first call, in the library ``np.linalg`` itself calls, under the ILP64 names
+of NumPy's wheels only.  Where they are not found (MKL or system-LAPACK
+builds, Windows), and wherever sigma_min < TAU ||A - lam I||_2, where rounding
+dominates, the value is dense ``np.linalg.svd``'s on ``section.entries``.
 
 A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
 A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
@@ -23,6 +24,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
+
+from .sections import FiniteSection
 
 # below TAU * sigma_max the band sigma_min is recomputed densely
 TAU = 4e8 * np.finfo(float).eps
@@ -105,17 +108,16 @@ def _ref(v: int):
     return ctypes.byref(ctypes.c_int64(v))
 
 
-def _band_singular_values(routines: dict, a: np.ndarray, lam: complex) -> np.ndarray:
+def _band_singular_values(routines: dict, section: FiniteSection, lam: complex) -> np.ndarray:
     """All singular values of A - lam I, largest first: ``xGBBRD`` on the band
-    (kl, ku read off the nonzero pattern), then ``DLASQ1``.  A nonzero INFO
-    raises LinAlgError."""
-    n = a.shape[0]
-    i, j = np.nonzero(a)
-    kl, ku = int(np.max(i - j, initial=0)), int(np.max(j - i, initial=0))
+    (kl, ku the extreme offsets of ``section.bands``), then ``DLASQ1``.  A
+    nonzero INFO raises LinAlgError."""
+    n = section.order
+    kl, ku = max([0, *section.bands]), max([0, *(-j for j in section.bands)])
     # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
     ab = np.zeros((n, kl + ku + 1), dtype=complex)
-    for off in range(-ku, kl + 1):
-        ab[max(0, -off) : n - max(0, off), ku + off] = np.diagonal(a, -off)
+    for off, band in section.bands.items():
+        ab[max(0, -off) : n - max(0, off), ku + off] = band
     ab[:, ku] -= lam
     ab = np.ascontiguousarray(_real_if_real(ab))
     d, e, info = np.empty(n), np.zeros(n), ctypes.c_int64(0)
@@ -133,20 +135,19 @@ def _band_singular_values(routines: dict, a: np.ndarray, lam: complex) -> np.nda
     return d
 
 
-def smallest_singular_value(a: np.ndarray, lam: complex = 0j) -> float:
-    """sigma_min(A - lam I), in real arithmetic when A - lam I is real.
+def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
+    """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
 
     From the band routines (see the module docstring) when they are found and
     their sigma_min is at least TAU * ||A - lam I||_2; else, and then bit for
-    bit, from dense LAPACK ``np.linalg.svd``.
+    bit, from dense LAPACK ``np.linalg.svd`` on ``section.entries``.
     """
-    a = _as_square(a)
     lam = complex(lam)
     routines = _lapack()
     if routines is not None:
-        sv = _band_singular_values(routines, a, lam)
+        sv = _band_singular_values(routines, section, lam)
         if sv[-1] >= TAU * sv[0]:
             return float(sv[-1])
-    b = a.copy()
-    b.flat[:: a.shape[0] + 1] -= lam
+    b = section.entries.copy()
+    b.flat[:: section.order + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])

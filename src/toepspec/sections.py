@@ -10,7 +10,6 @@ tail whose error is bounded by convexity (trapezoid and midpoint rules).
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
@@ -20,28 +19,25 @@ import numpy as np
 from .symbols import HarmonicSymbol
 
 
-class SectionKind(enum.Enum):
-    HT = "ht"
-    BT = "bt"
-
-
 @dataclass(frozen=True)
 class FiniteSection:
-    """N x N corner of an operator matrix, stored by its diagonals, immutable.
+    """N x N banded matrix, stored by its diagonals, immutable.
 
     ``bands`` maps an offset j (row minus column), -N < j < N, to the read-only
     vector of length N - |j| whose element k sits at
-    (k + max(j, 0), k + max(-j, 0)); absent offsets are zero diagonals.
-    ``entries`` is the dense matrix, built on first read and then cached.
+    (k + max(j, 0), k + max(-j, 0)); absent offsets are zero diagonals.  A band
+    of another length or with a non-finite element raises ValueError.
+    ``entries`` is the dense matrix, built on first read and then cached;
+    ``np.asarray(section)`` gives it, ``np.array(section)`` a writable copy.
     """
 
-    kind: SectionKind
     order: int
     bands: dict[int, np.ndarray]
-    symbol: HarmonicSymbol
 
     def __post_init__(self) -> None:
-        for band in self.bands.values():
+        for j, band in self.bands.items():
+            if band.shape != (self.order - abs(j),) or not np.isfinite(band).all():
+                raise ValueError(f"band {j} needs {self.order - abs(j)} finite elements")
             band.setflags(write=False)
 
     @functools.cached_property
@@ -53,6 +49,10 @@ class FiniteSection:
         a.setflags(write=False)
         return a
 
+    def __array__(self, dtype=None, copy=None) -> np.ndarray:
+        a = self.entries if dtype is None else self.entries.astype(dtype, copy=False)
+        return a.copy() if copy else a
+
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.bands.values()))
 
@@ -63,27 +63,26 @@ def _bt_weights(N: int, L: int) -> np.ndarray:
     return np.sqrt(k / (k + L))
 
 
-def _section(s: HarmonicSymbol, N: int, kind: SectionKind) -> FiniteSection:
+def _section(s: HarmonicSymbol, N: int, bt: bool) -> FiniteSection:
     N = int(N)
     if N < 1:
         raise ValueError(f"section order must be >= 1, got {N}")
-    bt = kind is SectionKind.BT
     bands = {}
     for j, v in s.coeffs.items():
         if abs(j) < N:
             # np.full keeps the bits of v: np.ones(...) * v turns an imaginary -0.0 into +0.0
             bands[j] = _bt_weights(N, abs(j)) * v if bt else np.full(N - abs(j), v)
-    return FiniteSection(kind=kind, order=N, bands=bands, symbol=s)
+    return FiniteSection(order=N, bands=bands)
 
 
 def ht_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     """N x N Hardy-Toeplitz section with entries b_{i-j}."""
-    return _section(s, N, SectionKind.HT)
+    return _section(s, N, bt=False)
 
 
 def bt_section(s: HarmonicSymbol, N: int) -> FiniteSection:
     """N x N Bergman-Toeplitz section."""
-    return _section(s, N, SectionKind.BT)
+    return _section(s, N, bt=True)
 
 
 def hs_difference_sq_truncated(s: HarmonicSymbol, N: int) -> float:

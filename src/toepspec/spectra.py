@@ -75,7 +75,7 @@ def pseudospectrum(
     res = field.re_values()
     for q, im in enumerate(field.im_values()):
         for p, re in enumerate(res):
-            field.sigma_min[q, p] = smallest_singular_value(a.entries, complex(re, im))
+            field.sigma_min[q, p] = smallest_singular_value(a, complex(re, im))
     return field
 
 
@@ -127,15 +127,16 @@ class DetectionResult(Sequence):
 
 
 def _resolve_options(
-    s: HarmonicSymbol, opts: DetectOptions, n_max: int
+    s: HarmonicSymbol, opts: DetectOptions, top: FiniteSection
 ) -> tuple[float, float, float]:
+    """delta_curve, drift_tol, cert_tol; cert_tol scales with ``top``, the order-N_max BT section."""
     w = s.wiener_norm()
     delta_curve = opts.delta_curve if opts.delta_curve is not None else 0.05 * w
     drift_tol = opts.drift_tol if opts.drift_tol is not None else 1e-3 * w
     if opts.cert_tol is not None:
         cert_tol = opts.cert_tol
     else:
-        cert_tol = 1e-6 * bt_section(s, n_max).frobenius_norm()
+        cert_tol = 1e-6 * top.frobenius_norm()
     return delta_curve, drift_tol, cert_tol
 
 
@@ -185,16 +186,15 @@ def detect_discrete(
     ladder = [int(n) for n in ladder]
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly increasing with length >= 3")
-    n_max = ladder[-1]
-    delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, n_max)
     curve = sample_curve(s, opts.curve_samples)
 
     rung_eigs: dict[int, np.ndarray] = {}
     for n in ladder:
-        section = bt_section(s, n)  # after the loop: the order-n_max section
-        res = eigenvalues(section.entries)
+        top = bt_section(s, n)  # after the loop: the order-N_max section
+        res = eigenvalues(top.entries)
         if res.converged:
             rung_eigs[n] = res.values
+    delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, top)
     far = [ev[curve.distance_to(ev) >= delta_curve] for ev in rung_eigs.values()]
 
     certified: list[DiscreteCandidate] = []
@@ -205,7 +205,7 @@ def detect_discrete(
         if loc in seen:
             continue
         seen.add(loc)
-        cert = smallest_singular_value(section.entries, loc)
+        cert = smallest_singular_value(top, loc)
         comp = classify(loc, curve, delta_curve)
         cand = DiscreteCandidate(
             location=loc, persistence_drift=drift, certificate=cert, component=comp
@@ -271,7 +271,7 @@ def resolvent_growth_fit(
     for z, d in zip(pts, dist_to_spectrum(np.array(pts), curve)):
         if d <= 0:
             raise ValueError(f"sample point {z} is not outside the spectrum")
-        sig = smallest_singular_value(section.entries, z)
+        sig = smallest_singular_value(section, z)
         if sig <= 0:
             raise ValueError(f"singular section at sample point {z}")
         log_d.append(math.log(d))

@@ -10,7 +10,8 @@ ray exits must match within rounding where it hits its targets, and the
 one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
 code must reproduce exactly.  ``raster_f0`` finds the outer component by a
 flood fill, with no winding numbers.  ``singular_values_jacobi`` is a
-one-sided Jacobi SVD, independent of LAPACK.
+one-sided Jacobi SVD, independent of LAPACK.  ``as_section`` hands a dense
+matrix to ``smallest_singular_value``, which takes sections only.
 """
 
 from __future__ import annotations
@@ -90,14 +91,6 @@ def singular_values_jacobi(
     return np.sort(sv)[::-1]
 
 
-def elementary_symmetric(values: np.ndarray) -> np.ndarray:
-    """Coefficients of prod (x - v) , highest power first (monic)."""
-    coeffs = np.array([1.0 + 0j], dtype=np.clongdouble)
-    for v in np.asarray(values, dtype=np.clongdouble):
-        coeffs = np.convolve(coeffs, np.array([1.0, -v], dtype=np.clongdouble))
-    return coeffs
-
-
 def brute_inner_series(L: int, terms: int) -> float:
     """Direct partial sum of 1/((k+L+1)(sqrt(k+L+1)+sqrt(k+1))^2)."""
     k = np.arange(terms, dtype=float)
@@ -126,6 +119,17 @@ def long_k_series(s, tol: float) -> tuple[float, float]:
         value += w * (partial + inner_tail_integral_decimal(K + 1.0, L))
         bound += w * float(term(K + 1.0, L))
     return value, bound
+
+
+def as_section(a):
+    """The square matrix ``a`` as a ``FiniteSection`` holding its diagonals that
+    have a nonzero entry."""
+    from toepspec import FiniteSection
+
+    a = np.asarray(a, dtype=complex)
+    n = a.shape[0]
+    diagonals = {j: np.diagonal(a, -j).copy() for j in range(1 - n, n)}
+    return FiniteSection(order=n, bands={j: d for j, d in diagonals.items() if d.any()})
 
 
 def dense_section(s, N: int, kind: str) -> np.ndarray:

@@ -14,7 +14,7 @@ import numpy as np
 import toepspec as ts
 from toepspec.spectra import _chain_ladder, _resolve_options
 from conftest import ACCEPTANCE_LOG
-from oracles import charpoly_roots, match_distance, random_symbol
+from oracles import as_section, charpoly_roots, match_distance, random_symbol
 
 PI_SQ_24 = math.pi ** 2 / 24
 
@@ -117,7 +117,7 @@ def test_criterion_5_sigma_min_majorization():
             eigs = np.linalg.eigvals(a)
             for _ in range(10):
                 lam = complex(rng.standard_normal(), rng.standard_normal())
-                sig = ts.smallest_singular_value(a, lam)
+                sig = ts.smallest_singular_value(as_section(a), lam)
                 assert sig <= np.min(np.abs(eigs - lam)) + 1e-8
 
 
@@ -145,7 +145,7 @@ MIXED_SYMBOLS = (
 def _ladder_candidates(rungs, section, cert_tol, curve, delta, drift_tol):
     certified = []
     for loc, drift in _chain_ladder(rungs, drift_tol):
-        cert = ts.smallest_singular_value(section.entries, loc)
+        cert = ts.smallest_singular_value(section, loc)
         if cert < cert_tol:
             comp = ts.classify(loc, curve, delta)
             certified.append(
@@ -168,9 +168,9 @@ def test_criterion_7_detection_pipeline():
         for coeffs in MIXED_SYMBOLS:
             s = ts.HarmonicSymbol(coeffs)
             opts = ts.DetectOptions()
-            delta, drift_tol, cert_tol = _resolve_options(s, opts, ladder[-1])
-            curve = ts.sample_curve(s, opts.curve_samples)
             sections = {n: ts.bt_section(s, n) for n in ladder}
+            delta, drift_tol, cert_tol = _resolve_options(s, opts, sections[ladder[-1]])
+            curve = ts.sample_curve(s, opts.curve_samples)
             rungs = []
             for n in ladder:
                 res = ts.eigenvalues(sections[n].entries)

@@ -9,7 +9,7 @@ import toepspec as ts
 from toepspec import linalg
 from toepspec.cli import load_config
 from toepspec.linalg import eigenvalues, smallest_singular_value
-from oracles import charpoly_roots, match_distance, nonconstant_seed0_symbols, random_symbol, singular_values_jacobi
+from oracles import as_section, charpoly_roots, match_distance, nonconstant_seed0_symbols, random_symbol, singular_values_jacobi
 from test_acceptance import MIXED_SYMBOLS
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -96,28 +96,28 @@ class TestSmallestSingularValue:
             a = random_complex(rng, n)
             lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
             want = min(singular_values_jacobi(a - lam * np.eye(n)))
-            got = smallest_singular_value(a, lam)
+            got = smallest_singular_value(as_section(a), lam)
             assert got == pytest.approx(want, rel=1e-6, abs=1e-12)
 
     def test_ellipse_bt_section_vs_jacobi(self):
         # BT section of the ellipse config (f = z, g = 0.5 z) at N = 80 and a
         # node of an 8 x 6 grid over its region, where sigma_min ~ 1.2
         s = ts.from_parts([0, 1], [0, 0.5])
-        a = ts.bt_section(s, 80).entries
+        sec = ts.bt_section(s, 80)
         lam = complex(10 / 7, -1.5)
-        want = singular_values_jacobi(a - lam * np.eye(80))[-1]
+        want = singular_values_jacobi(sec.entries - lam * np.eye(80))[-1]
         assert want == pytest.approx(1.2126, rel=1e-4)
-        assert smallest_singular_value(a, lam) == pytest.approx(want, rel=1e-10)
+        assert smallest_singular_value(sec, lam) == pytest.approx(want, rel=1e-10)
 
     def test_exact_eigenvalue_returns_zero(self):
         a = np.diag([1.0, 2.0, 3.0]).astype(complex)
-        assert smallest_singular_value(a, 2.0) == 0.0
+        assert smallest_singular_value(as_section(a), 2.0) == 0.0
 
     def test_normal_matrix_distance(self):
         d = np.diag([0.0, 1.0, 5.0]).astype(complex)
         lam = 0.3 + 0.4j
         want = min(abs(lam - z) for z in (0, 1, 5))
-        assert smallest_singular_value(d, lam) == pytest.approx(want, rel=1e-8)
+        assert smallest_singular_value(as_section(d), lam) == pytest.approx(want, rel=1e-8)
 
 
 class TestRealArithmetic:
@@ -132,11 +132,11 @@ class TestRealArithmetic:
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
     def test_every_eigenvalue_is_backward_stable(self, s):
-        a = ts.bt_section(s, 50).entries
-        floor = 64 * EPS * np.linalg.norm(a, 2)
-        res = eigenvalues(a)
+        sec = ts.bt_section(s, 50)
+        floor = 64 * EPS * np.linalg.norm(sec.entries, 2)
+        res = eigenvalues(sec.entries)
         assert res.converged
-        assert max(smallest_singular_value(a, lam) for lam in res.values) <= floor
+        assert max(smallest_singular_value(sec, lam) for lam in res.values) <= floor
 
     def test_lapack_precision_follows_the_input(self, monkeypatch):
         seen = []
@@ -149,30 +149,31 @@ class TestRealArithmetic:
         monkeypatch.setattr(np.linalg, "eigvals", lambda a: (seen.append(("eigvals", a.dtype)), eigvals(a))[1])
         monkeypatch.setattr(np.linalg, "svd", lambda a, **kw: (seen.append(("svd", a.dtype)), svd(a, **kw))[1])
         monkeypatch.setattr(linalg, "_lapack", lambda: {name: spy(name) for name in routines})
-        real = ts.bt_section(REAL_SYMBOLS[0], 20).entries
-        cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20).entries
-        eigenvalues(real)
+        real = ts.bt_section(REAL_SYMBOLS[0], 20)
+        cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20)
+        eigenvalues(real.entries)
         smallest_singular_value(real, 0.5)
         assert seen == [("eigvals", np.float64), "dgbbrd", "dlasq1"]
         seen.clear()
         smallest_singular_value(real, 0.5 + 0.1j)
-        eigenvalues(cplx)
+        eigenvalues(cplx.entries)
         smallest_singular_value(cplx, 0.5)
         assert seen == ["zgbbrd", "dlasq1", ("eigvals", np.complex128), "zgbbrd", "dlasq1"]
         seen.clear()
         # an exact eigenvalue: below TAU, so the dense arbiter runs, in the same arithmetic
-        smallest_singular_value(np.diag([1.0, 2.0, 3.0]), 2.0)
-        smallest_singular_value(np.diag([1.0, 2.0 + 1j, 3.0]), 2.0 + 1j)
+        smallest_singular_value(as_section(np.diag([1.0, 2.0, 3.0])), 2.0)
+        smallest_singular_value(as_section(np.diag([1.0, 2.0 + 1j, 3.0])), 2.0 + 1j)
         assert seen == ["dgbbrd", "dlasq1", ("svd", np.float64), "zgbbrd", "dlasq1", ("svd", np.complex128)]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):
         N = 200
-        a = ts.bt_section(s, N).entries
+        sec = ts.bt_section(s, N)
+        a = sec.entries
         floor = N * EPS * np.linalg.norm(a, 2)
         real_eigs = [z.real for z in eigenvalues(a).values if z.imag == 0]
         for lam in [*np.linspace(-2, 2, 9), *real_eigs[:3]]:
-            got = smallest_singular_value(a, lam)
+            got = smallest_singular_value(sec, lam)
             want = np.linalg.svd(a - complex(lam) * np.eye(N), compute_uv=False)[-1]
             assert got == pytest.approx(want, rel=1e-12) or max(got, want) <= floor
 
@@ -199,10 +200,10 @@ class TestBandPath:
     @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
     def test_agrees_with_gesdd(self, s):
         for N in (50, 200):
-            for a in (ts.bt_section(s, N).entries, ts.ht_section(s, N).entries):
-                for lam in _nodes(s, a):
-                    sv = np.linalg.svd(a - lam * np.eye(N), compute_uv=False)
-                    got = smallest_singular_value(a, lam)
+            for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
+                for lam in _nodes(s, sec.entries):
+                    sv = np.linalg.svd(sec.entries - lam * np.eye(N), compute_uv=False)
+                    got = smallest_singular_value(sec, lam)
                     assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (N, lam)
 
     def test_fit_never_calls_dense_svd(self, monkeypatch):
@@ -227,20 +228,45 @@ class TestBandPath:
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
     def test_dense_value_bit_for_bit(self, monkeypatch, s):
-        a = ts.bt_section(s, 50).entries
+        sec = ts.bt_section(s, 50)
+        a = sec.entries
         dense = {lam: np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False) for lam in _nodes(s, a)}
         below = [lam for lam, sv in dense.items() if sv[-1] < linalg.TAU * sv[0]]
         assert len(below) >= 4  # the eigenvalue nodes
         for lam in below:
-            assert smallest_singular_value(a, lam) == dense[lam][-1]
+            assert smallest_singular_value(sec, lam) == dense[lam][-1]
         monkeypatch.setattr(linalg, "_lapack", lambda: None)  # the routines not found
         for lam, sv in dense.items():
-            assert smallest_singular_value(a, lam) == sv[-1]
+            assert smallest_singular_value(sec, lam) == sv[-1]
+
+    @pytest.mark.parametrize("z", [2.5, 2.6, 2.5 + 0.3j])
+    def test_symbol_free_section(self, z):
+        # the Hardy tridiagonal with beta = 2 at (0, 0), exact eigenvalue
+        # beta + 1 / beta = 2.5: no HT or BT section, only bands
+        sigma = []
+        for N in (10, 20, 40):
+            d = np.zeros(N)
+            d[0] = 2.0
+            sec = ts.FiniteSection(order=N, bands={0: d, 1: np.ones(N - 1), -1: np.ones(N - 1)})
+            sv = np.linalg.svd(sec.entries - z * np.eye(N), compute_uv=False)
+            sigma.append(smallest_singular_value(sec, z))
+            assert abs(sigma[-1] - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], N
+        if z == 2.5:
+            assert sigma[0] == pytest.approx(1.07e-6, rel=1e-2) and sigma[1] < 2e-12 and sigma[2] < 4 * EPS * sv[0]
+        else:
+            assert sigma == pytest.approx([0.1 if z == 2.6 else 0.3] * 3, rel=2e-5)
+
+    @pytest.mark.parametrize("lam", [0, 0.5, -2, 1 + 1j, 3e-5j])
+    def test_zero_symbol(self, lam):
+        # no bands: A - lam I = -lam I
+        sec = ts.bt_section(ts.HarmonicSymbol({}), 5)
+        assert sec.bands == {}
+        assert smallest_singular_value(sec, lam) == pytest.approx(abs(lam), rel=4 * EPS)
 
     def test_nonzero_info_raises(self, svd_fails):
-        a = ts.bt_section(GATE_SYMBOLS[0], 20).entries
+        sec = ts.bt_section(GATE_SYMBOLS[0], 20)
         with pytest.raises(np.linalg.LinAlgError, match=r"band SVD failed \(INFO = 1\)"):
-            smallest_singular_value(a, 0.3 + 0.2j)
+            smallest_singular_value(sec, 0.3 + 0.2j)
 
 
 class TestJacobiSVD:
@@ -276,6 +302,6 @@ class TestRandomizedInvariants:
         rng = np.random.default_rng(seed)
         a = random_complex(rng, 10)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        sigma = smallest_singular_value(a, lam)
+        sigma = smallest_singular_value(as_section(a), lam)
         gap = min(abs(lam - z) for z in eigenvalues(a).values)
         assert sigma <= gap + 1e-7 * max(np.linalg.norm(a), 1.0)

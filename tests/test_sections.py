@@ -61,7 +61,7 @@ class TestHTSection:
 
     def test_kind_and_order(self):
         sec = ts.ht_section(ts.HarmonicSymbol({1: 1}), 8)
-        assert sec.kind is ts.SectionKind.HT and sec.order == 8
+        assert sec.order == 8
 
     def test_bad_order(self):
         with pytest.raises(ValueError):
@@ -102,7 +102,7 @@ class TestSectionBands:
         for s in BAND_SYMBOLS:
             for N in (1, 3, 50):
                 sec = build(s, N)
-                assert sec.kind.value == kind and sec.order == N
+                assert sec.order == N
                 for j, band in sec.bands.items():
                     assert -s.m <= j <= s.n and -N < j < N
                     assert band.shape == (N - abs(j),)
@@ -120,6 +120,26 @@ class TestSectionBands:
                 assert "entries" not in sec.__dict__
                 want = np.linalg.norm(sec.entries)
                 assert norm == pytest.approx(want, rel=1e-14, abs=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, complex(0, -np.inf)])
+    def test_nonfinite_band_rejected(self, bad):
+        with pytest.raises(ValueError, match="finite"):
+            ts.FiniteSection(order=3, bands={0: np.array([1.0, bad, 1.0]), 1: np.ones(2)})
+        with pytest.raises(ValueError, match="finite"):
+            ts.ht_section(ts.HarmonicSymbol({1: 1, -1: bad}), 4)
+
+    def test_band_of_wrong_length_rejected(self):
+        with pytest.raises(ValueError, match="band -1 needs 3"):
+            ts.FiniteSection(order=4, bands={-1: np.ones(4)})
+
+    def test_array_is_entries(self):
+        sec = ts.bt_section(BAND_SYMBOLS[1], 9)
+        assert np.asarray(sec) is sec.entries
+        assert np.array_equal(np.asarray(sec, dtype=complex), sec.entries)
+        copy = np.array(sec)
+        assert copy.flags.writeable and np.array_equal(copy, sec.entries)
+        copy[0, 0] = 7.0
+        assert sec.entries[0, 0] == BAND_SYMBOLS[1][0]
 
 
 class TestHSDifference:

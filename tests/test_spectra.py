@@ -7,9 +7,9 @@ import pytest
 import toepspec as ts
 from oracles import nonconstant_seed0_symbols, random_symbol, raster_f0, scalar_points_at_distance
 from test_acceptance import MIXED_SYMBOLS
-from toepspec import symbols
+from toepspec import spectra, symbols
 from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
-from toepspec.spectra import _chain_ladder
+from toepspec.spectra import _chain_ladder, _resolve_options
 from toepspec.symbols import _windings
 
 
@@ -36,7 +36,7 @@ class TestPseudospectrum:
         sec = ts.bt_section(ts.HarmonicSymbol({1: 1, -1: 0.5}), 15)
         field = ts.pseudospectrum(sec, ts.Rect(0, 0.5, 0, 0.5), nx=3, ny=3)
         lam = complex(field.re_values()[1], field.im_values()[2])
-        want = ts.smallest_singular_value(sec.entries, lam)
+        want = ts.smallest_singular_value(sec, lam)
         assert field.sigma_min[2, 1] == pytest.approx(want, rel=1e-8)
 
     def test_empty_region_rejected(self):
@@ -110,6 +110,25 @@ class TestDetectDiscrete:
         assert res.skipped_rungs == (120,)
         assert len(res) == 0 and res.uncertified == ()
         assert sorted(res.rung_eigenvalues) == [60, 240]
+
+    def test_each_bt_order_built_once(self, monkeypatch):
+        built, resolved = [], []
+
+        def bt_section(s, N):
+            built.append(N)
+            return ts.bt_section(s, N)
+
+        def resolve(*args):
+            resolved.append(_resolve_options(*args))
+            return resolved[-1]
+
+        monkeypatch.setattr(spectra, "bt_section", bt_section)
+        monkeypatch.setattr(spectra, "_resolve_options", resolve)
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        ts.detect_discrete(s, ladder=(50, 100, 200))
+        assert built == [50, 100, 200]
+        # cert_tol is that of the order-200 section, bit for bit
+        assert [r[2] for r in resolved] == [1e-6 * ts.bt_section(s, 200).frobenius_norm()]
 
 
 class TestClassify:
@@ -209,6 +228,26 @@ class TestResolventFit:
         s = ts.HarmonicSymbol({1: 1})
         with pytest.raises(ValueError):
             ts.resolvent_growth_fit(s, [2.0, 3.0], N=50)
+
+    def test_sigma_min_never_builds_the_dense_matrix(self, monkeypatch):
+        # the fit's 16 calls and an 8 x 6 grid read the bands; only a dense
+        # LAPACK call (none here) would build ``entries``
+        sections = []
+
+        def ht_section(s, N):
+            sections.append(ts.ht_section(s, N))
+            return sections[-1]
+
+        monkeypatch.setattr(spectra, "ht_section", ht_section)
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        curve = ts.sample_curve(s)
+        w = s.wiener_norm()
+        ts.resolvent_growth_fit(s, ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16)), 200, curve=curve)
+        grid = ts.bt_section(ts.from_parts([0, 1], [0, 0.5]), 80)
+        ts.pseudospectrum(grid, ts.Rect(-2, 2, -1.5, 1.5), nx=8, ny=6)
+        assert len(sections) == 1
+        for sec in (*sections, grid):
+            assert "entries" not in sec.__dict__
 
     def test_points_at_distance_accuracy(self):
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 512)
