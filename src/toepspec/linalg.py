@@ -3,13 +3,21 @@
 Eigenvalues of a dense square matrix go through ``np.linalg.eigvals``.
 sigma_min(A - lam I) takes A as a banded ``FiniteSection`` and packs LAPACK
 band storage from its diagonals as stored (kl, ku its extreme offsets):
-``xGBBRD`` reduces the band to a real bidiagonal, whose singular values
-``DLASQ1`` (dqds) gives; both are backward stable, like ``gesdd``, and cost
-O(N^2 (kl + ku)) instead of O(N^3).  The routines are looked up once, on the
-first call, in the library ``np.linalg`` itself calls, under the ILP64 names
-of NumPy's wheels only.  Where they are not found (MKL or system-LAPACK
-builds, Windows), and wherever sigma_min < TAU ||A - lam I||_2, where rounding
-dominates, the value is dense ``np.linalg.svd``'s on ``section.entries``.
+``xGBBRD`` reduces the band to a real bidiagonal B (diagonal d, superdiagonal
+e), and ``DSTEBZ`` bisects for one eigenvalue of its Golub-Kahan tridiagonal,
+the 2N x 2N matrix with zero diagonal and off-diagonal (d1, e1, d2, ..., dN),
+whose eigenvalues are +-sigma_i(B): the (N + 1)-th smallest is sigma_min.
+With ABSTOL twice the underflow threshold, bisection on this zero-diagonal
+tridiagonal finds it to high relative accuracy (Demmel & Kahan 1990); the
+band reduction is backward stable, like ``gesdd``.  The cost is O(N^2
+(kl + ku)) for the reduction and O(N) per bisection step, instead of O(N^3).
+The routines are looked up once, on the first call, in the library
+``np.linalg`` itself calls, under the ILP64 names of NumPy's wheels only.
+Where they are not found (MKL or system-LAPACK builds, Windows), and wherever
+sigma_min < TAU g, g = max_k(|t_k| + |t_{k+1}|) the Gershgorin bound over
+that off-diagonal t (||A - lam I||_2 <= g <= 2 ||A - lam I||_2), where
+rounding dominates, the value is dense ``np.linalg.svd``'s on
+``section.entries``.
 
 A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
 A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
@@ -27,7 +35,7 @@ import numpy as np
 
 from .sections import FiniteSection
 
-# below TAU * sigma_max the band sigma_min is recomputed densely
+# below TAU * g (see the module docstring) the band sigma_min is recomputed densely
 TAU = 4e8 * np.finfo(float).eps
 
 
@@ -75,17 +83,20 @@ def eigenvalues(a: np.ndarray) -> EigenResult:
     return EigenResult(values=values, converged=True, sweeps=0)
 
 
-# every argument by reference, then for xGBBRD the Fortran length of VECT
+# every argument by reference, then the Fortran lengths of the character
+# arguments: VECT for xGBBRD, RANGE and ORDER for DSTEBZ
 _ARGUMENTS = {
     "dgbbrd": [ctypes.c_void_p] * 18 + [ctypes.c_size_t],
     "zgbbrd": [ctypes.c_void_p] * 19 + [ctypes.c_size_t],
-    "dlasq1": [ctypes.c_void_p] * 5,
+    "dstebz": [ctypes.c_void_p] * 18 + [ctypes.c_size_t] * 2,
 }
+# DSTEBZ's ABSTOL: twice the underflow threshold, for high relative accuracy
+_ABSTOL = 2 * np.finfo(float).tiny
 
 
 @functools.cache
 def _lapack() -> dict | None:
-    """``dgbbrd``, ``zgbbrd`` and ``dlasq1`` from the library ``np.linalg`` calls,
+    """``dgbbrd``, ``zgbbrd`` and ``dstebz`` from the library ``np.linalg`` calls,
     under the ILP64 names of NumPy's wheels (``scipy_<name>_64_`` from numpy 2,
     ``<name>_64_`` before), or None where neither resolves."""
     try:
@@ -108,10 +119,12 @@ def _ref(v: int):
     return ctypes.byref(ctypes.c_int64(v))
 
 
-def _band_singular_values(routines: dict, section: FiniteSection, lam: complex) -> np.ndarray:
-    """All singular values of A - lam I, largest first: ``xGBBRD`` on the band
-    (kl, ku the extreme offsets of ``section.bands``), then ``DLASQ1``.  A
-    nonzero INFO raises LinAlgError."""
+def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> tuple[float, float]:
+    """sigma_min of A - lam I and the Gershgorin bound g of the module
+    docstring: ``xGBBRD`` on the band (kl, ku the extreme offsets of
+    ``section.bands``), then ``DSTEBZ`` on the Golub-Kahan tridiagonal of the
+    bidiagonal.  A nonzero INFO, or a count of eigenvalues found other than
+    one, raises LinAlgError."""
     n = section.order
     kl, ku = max([0, *section.bands]), max([0, *(-j for j in section.bands)])
     # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
@@ -128,26 +141,42 @@ def _band_singular_values(routines: dict, section: FiniteSection, lam: complex) 
     gbbrd(b"N", _ref(n), _ref(n), _ref(0), _ref(kl), _ref(ku), ab.ctypes, _ref(kl + ku + 1), d.ctypes, e.ctypes,
           dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), *(w.ctypes for w in work),
           ctypes.byref(info), 1)
-    if info.value == 0:
-        routines["dlasq1"](_ref(n), d.ctypes, e.ctypes, np.empty(4 * n).ctypes, ctypes.byref(info))
     if info.value != 0:
         raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
-    return d
+    # the Golub-Kahan off-diagonal (d1, e1, d2, ..., dN); its signs do not
+    # change the eigenvalues
+    t = np.empty(2 * n - 1)
+    t[0::2], t[1::2] = np.abs(d), np.abs(e[: n - 1])
+    g = float(np.max(t[:-1] + t[1:], initial=t[0]))
+    m, w, vlu = ctypes.c_int64(0), np.empty(2 * n), ctypes.c_double(0.0)  # VL, VU: not referenced with RANGE = 'I'
+    iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (2, 2, 6))
+    # (RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO, len(RANGE), len(ORDER))
+    routines["dstebz"](b"I", b"E", _ref(2 * n), ctypes.byref(vlu), ctypes.byref(vlu), _ref(n + 1), _ref(n + 1),
+                       ctypes.byref(ctypes.c_double(_ABSTOL)), np.zeros(2 * n).ctypes, t.ctypes, ctypes.byref(m),
+                       ctypes.byref(ctypes.c_int64(0)), w.ctypes, iblock.ctypes, isplit.ctypes,
+                       np.empty(8 * n).ctypes, iwork.ctypes, ctypes.byref(info), 1, 1)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
+    if m.value != 1:
+        raise np.linalg.LinAlgError(f"band SVD failed ({m.value} eigenvalues found, not 1)")
+    return float(w[0]), g
 
 
 def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
     """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
 
     From the band routines (see the module docstring) when they are found and
-    their sigma_min is at least TAU * ||A - lam I||_2; else, and then bit for
-    bit, from dense LAPACK ``np.linalg.svd`` on ``section.entries``.
+    their sigma_min is at least TAU * g, g the Gershgorin bound on the
+    Golub-Kahan tridiagonal (||A - lam I||_2 <= g <= 2 ||A - lam I||_2); else,
+    and then bit for bit, from dense LAPACK ``np.linalg.svd`` on
+    ``section.entries``.
     """
     lam = complex(lam)
     routines = _lapack()
     if routines is not None:
-        sv = _band_singular_values(routines, section, lam)
-        if sv[-1] >= TAU * sv[0]:
-            return float(sv[-1])
+        sigma, g = _band_sigma_min(routines, section, lam)
+        if sigma >= TAU * g:
+            return sigma
     b = section.entries.copy()
     b.flat[:: section.order + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])

@@ -62,15 +62,15 @@ def eigvals_fails_at(monkeypatch):
     return arm
 
 
-@ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 5)
-def _failing_dlasq1(n, d, e, work, info):
-    ctypes.c_int64.from_address(info).value = 1
+@ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18, ctypes.c_size_t, ctypes.c_size_t)
+def _failing_dstebz(*args):
+    ctypes.c_int64.from_address(args[17]).value = 1  # INFO
 
 
 @pytest.fixture
 def svd_fails(monkeypatch):
     """Make every LAPACK singular value call raise LinAlgError: dense
-    ``np.linalg.svd``, and the band path through a DLASQ1 that sets INFO = 1."""
+    ``np.linalg.svd``, and the band path through a DSTEBZ that sets INFO = 1."""
 
     def svd(*args, **kwargs):
         raise np.linalg.LinAlgError("SVD did not converge")
@@ -78,4 +78,4 @@ def svd_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     routines = linalg._lapack()
     if routines is not None:
-        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dlasq1": _failing_dlasq1})
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": _failing_dstebz})

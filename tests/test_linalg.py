@@ -1,3 +1,4 @@
+import ctypes
 from pathlib import Path
 
 import numpy as np
@@ -153,17 +154,17 @@ class TestRealArithmetic:
         cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20)
         eigenvalues(real.entries)
         smallest_singular_value(real, 0.5)
-        assert seen == [("eigvals", np.float64), "dgbbrd", "dlasq1"]
+        assert seen == [("eigvals", np.float64), "dgbbrd", "dstebz"]
         seen.clear()
         smallest_singular_value(real, 0.5 + 0.1j)
         eigenvalues(cplx.entries)
         smallest_singular_value(cplx, 0.5)
-        assert seen == ["zgbbrd", "dlasq1", ("eigvals", np.complex128), "zgbbrd", "dlasq1"]
+        assert seen == ["zgbbrd", "dstebz", ("eigvals", np.complex128), "zgbbrd", "dstebz"]
         seen.clear()
         # an exact eigenvalue: below TAU, so the dense arbiter runs, in the same arithmetic
         smallest_singular_value(as_section(np.diag([1.0, 2.0, 3.0])), 2.0)
         smallest_singular_value(as_section(np.diag([1.0, 2.0 + 1j, 3.0])), 2.0 + 1j)
-        assert seen == ["dgbbrd", "dlasq1", ("svd", np.float64), "zgbbrd", "dlasq1", ("svd", np.complex128)]
+        assert seen == ["dgbbrd", "dstebz", ("svd", np.float64), "zgbbrd", "dstebz", ("svd", np.complex128)]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):
@@ -195,7 +196,7 @@ def _nodes(s, a) -> list:
 
 
 class TestBandPath:
-    """sigma_min from xGBBRD + DLASQ1 on the band, with dense gesdd below TAU."""
+    """sigma_min from xGBBRD + DSTEBZ on the band, with dense gesdd below TAU * g."""
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
     def test_agrees_with_gesdd(self, s):
@@ -206,6 +207,43 @@ class TestBandPath:
                     got = smallest_singular_value(sec, lam)
                     assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (N, lam)
 
+    @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
+    def test_gershgorin_bound_brackets_the_norm(self, s):
+        routines = linalg._lapack()
+        assert routines is not None, "no band routines found in numpy's LAPACK"
+        for N in (50, 200):
+            for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
+                for lam in _nodes(s, sec.entries):
+                    norm = np.linalg.norm(sec.entries - lam * np.eye(N), 2)
+                    _, g = linalg._band_sigma_min(routines, sec, lam)
+                    assert norm <= g <= 2 * norm, (N, lam)
+
+    def test_ellipse_grid_at_order_800(self):
+        # four nodes of the ellipse config's own 32 x 24 grid, sigma_min from
+        # about 1 outside the curve down to 2e-6 inside it
+        cfg = load_config(str(CONFIGS / "ellipse.json"))
+        N, r = max(cfg.report.ladder), cfg.region
+        sec = ts.bt_section(cfg.symbol, N)
+        xs, ys = np.linspace(r.re_min, r.re_max, cfg.nx), np.linspace(r.im_min, r.im_max, cfg.ny)
+        for i, j in [(0, 0), (6, 7), (11, 8), (7, 9)]:
+            lam = complex(xs[i], ys[j])
+            sv = np.linalg.svd(sec.entries - lam * np.eye(N), compute_uv=False)
+            got = smallest_singular_value(sec, lam)
+            assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (i, j)
+
+    def test_dense_value_between_the_norm_and_the_gershgorin_bound(self):
+        # the Hardy tridiagonal of test_symbol_free_section at N = 40, just off its
+        # eigenvalue 2.5: the band value clears TAU ||A - lam I||_2 but not TAU g,
+        # and differs from gesdd's in its last digits, so only the dense value passes
+        N, z = 40, 2.5 + 4.06e-7
+        d = np.zeros(N)
+        d[0] = 2.0
+        sec = ts.FiniteSection(order=N, bands={0: d, 1: np.ones(N - 1), -1: np.ones(N - 1)})
+        sv = np.linalg.svd(linalg._real_if_real(sec.entries - z * np.eye(N)), compute_uv=False)
+        sigma, g = linalg._band_sigma_min(linalg._lapack(), sec, z)
+        assert linalg.TAU * sv[0] <= sigma < linalg.TAU * g and sigma != sv[-1]
+        assert smallest_singular_value(sec, z) == sv[-1]
+
     def test_fit_never_calls_dense_svd(self, monkeypatch):
         routines, calls = linalg._lapack(), []
         assert routines is not None, "no band routines found in numpy's LAPACK"
@@ -213,12 +251,12 @@ class TestBandPath:
         def svd(*args, **kwargs):
             raise AssertionError("dense SVD called")
 
-        def dlasq1(*args):
+        def dstebz(*args):
             calls.append(args)
-            routines["dlasq1"](*args)
+            routines["dstebz"](*args)
 
         monkeypatch.setattr(np.linalg, "svd", svd)
-        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dlasq1": dlasq1})
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": dstebz})
         s = ts.HarmonicSymbol({2: 1, -1: 0.8})
         curve = ts.sample_curve(s)
         w = s.wiener_norm()
@@ -262,6 +300,25 @@ class TestBandPath:
         sec = ts.bt_section(ts.HarmonicSymbol({}), 5)
         assert sec.bands == {}
         assert smallest_singular_value(sec, lam) == pytest.approx(abs(lam), rel=4 * EPS)
+
+    def test_resolves_the_band_routines(self):
+        routines = linalg._lapack()
+        assert routines is not None, "no band routines found in numpy's LAPACK"
+        assert set(routines) == {"dgbbrd", "zgbbrd", "dstebz"}
+
+    def test_no_eigenvalue_found_raises(self, monkeypatch):
+        routines = linalg._lapack()
+        assert routines is not None, "no band routines found in numpy's LAPACK"
+
+        @ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18, ctypes.c_size_t, ctypes.c_size_t)
+        def dstebz(*args):
+            routines["dstebz"](*args)
+            ctypes.c_int64.from_address(args[10]).value = 0  # M: no eigenvalue in IL..IU
+
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": dstebz})
+        sec = ts.bt_section(GATE_SYMBOLS[0], 20)
+        with pytest.raises(np.linalg.LinAlgError, match=r"band SVD failed \(0 eigenvalues found, not 1\)"):
+            smallest_singular_value(sec, 0.3 + 0.2j)
 
     def test_nonzero_info_raises(self, svd_fails):
         sec = ts.bt_section(GATE_SYMBOLS[0], 20)
