@@ -13,11 +13,11 @@ band reduction is backward stable, like ``gesdd``.  The cost is O(N^2
 (kl + ku)) for the reduction and O(N) per bisection step, instead of O(N^3).
 The routines are looked up once, on the first call, in the library
 ``np.linalg`` itself calls, under the ILP64 names of NumPy's wheels only.
-Where they are not found (MKL or system-LAPACK builds, Windows), and wherever
-sigma_min < TAU g, g = max_k(|t_k| + |t_{k+1}|) the Gershgorin bound over
-that off-diagonal t (||A - lam I||_2 <= g <= 2 ||A - lam I||_2), where
-rounding dominates, the value is dense ``np.linalg.svd``'s on
-``section.entries``.
+Their value agrees with ``gesdd``'s within 1e-8 sigma + 4 eps ||A - lam I||_2
+(gated in the tests); below the rounding floor, about eps ||A - lam I||_2,
+neither is a measurement.  Only where the routines are not found (MKL or
+system-LAPACK builds, Windows) is the dense matrix built: the value is then
+dense ``np.linalg.svd``'s on ``section.entries``.
 
 A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
 A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
@@ -34,9 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .sections import FiniteSection
-
-# below TAU * g (see the module docstring) the band sigma_min is recomputed densely
-TAU = 4e8 * np.finfo(float).eps
 
 
 def _as_square(a: np.ndarray) -> np.ndarray:
@@ -119,12 +116,11 @@ def _ref(v: int):
     return ctypes.byref(ctypes.c_int64(v))
 
 
-def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> tuple[float, float]:
-    """sigma_min of A - lam I and the Gershgorin bound g of the module
-    docstring: ``xGBBRD`` on the band (kl, ku the extreme offsets of
-    ``section.bands``), then ``DSTEBZ`` on the Golub-Kahan tridiagonal of the
-    bidiagonal.  A nonzero INFO, or a count of eigenvalues found other than
-    one, raises LinAlgError."""
+def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> float:
+    """sigma_min of A - lam I: ``xGBBRD`` on the band (kl, ku the extreme
+    offsets of ``section.bands``), then ``DSTEBZ`` on the Golub-Kahan
+    tridiagonal of the bidiagonal.  A nonzero INFO, or a count of eigenvalues
+    found other than one, raises LinAlgError."""
     n = section.order
     kl, ku = max([0, *section.bands]), max([0, *(-j for j in section.bands)])
     # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
@@ -147,7 +143,6 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> tup
     # change the eigenvalues
     t = np.empty(2 * n - 1)
     t[0::2], t[1::2] = np.abs(d), np.abs(e[: n - 1])
-    g = float(np.max(t[:-1] + t[1:], initial=t[0]))
     m, w, vlu = ctypes.c_int64(0), np.empty(2 * n), ctypes.c_double(0.0)  # VL, VU: not referenced with RANGE = 'I'
     iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (2, 2, 6))
     # (RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO, len(RANGE), len(ORDER))
@@ -159,24 +154,19 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> tup
         raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
     if m.value != 1:
         raise np.linalg.LinAlgError(f"band SVD failed ({m.value} eigenvalues found, not 1)")
-    return float(w[0]), g
+    return float(w[0])
 
 
 def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
     """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
 
-    From the band routines (see the module docstring) when they are found and
-    their sigma_min is at least TAU * g, g the Gershgorin bound on the
-    Golub-Kahan tridiagonal (||A - lam I||_2 <= g <= 2 ||A - lam I||_2); else,
-    and then bit for bit, from dense LAPACK ``np.linalg.svd`` on
-    ``section.entries``.
+    From the band routines (see the module docstring) when they are found;
+    else from dense LAPACK ``np.linalg.svd`` on ``section.entries``.
     """
     lam = complex(lam)
     routines = _lapack()
     if routines is not None:
-        sigma, g = _band_sigma_min(routines, section, lam)
-        if sigma >= TAU * g:
-            return sigma
+        return _band_sigma_min(routines, section, lam)
     b = section.entries.copy()
     b.flat[:: section.order + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])

@@ -161,10 +161,17 @@ class TestRealArithmetic:
         smallest_singular_value(cplx, 0.5)
         assert seen == ["zgbbrd", "dstebz", ("eigvals", np.complex128), "zgbbrd", "dstebz"]
         seen.clear()
-        # an exact eigenvalue: below TAU, so the dense arbiter runs, in the same arithmetic
-        smallest_singular_value(as_section(np.diag([1.0, 2.0, 3.0])), 2.0)
-        smallest_singular_value(as_section(np.diag([1.0, 2.0 + 1j, 3.0])), 2.0 + 1j)
-        assert seen == ["dgbbrd", "dstebz", ("svd", np.float64), "zgbbrd", "dstebz", ("svd", np.complex128)]
+        # an exact eigenvalue: the band path still, with no dense SVD
+        exact = [(as_section(np.diag([1.0, 2.0, 3.0])), 2.0), (as_section(np.diag([1.0, 2.0 + 1j, 3.0])), 2.0 + 1j)]
+        for sec, lam in exact:
+            smallest_singular_value(sec, lam)
+        assert seen == ["dgbbrd", "dstebz", "zgbbrd", "dstebz"]
+        seen.clear()
+        # the routines not found: the dense fallback, in the same arithmetic
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+        for sec, lam in exact:
+            smallest_singular_value(sec, lam)
+        assert seen == [("svd", np.float64), ("svd", np.complex128)]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):
@@ -188,7 +195,7 @@ GATE_SYMBOLS = [
 
 def _nodes(s, a) -> list:
     """A 5 x 4 grid over +-1.2 w, w the Wiener norm, and four eigenvalues of ``a``,
-    where sigma_min falls below TAU and below the backward-error floor."""
+    where sigma_min falls below the backward-error floor eps ||A - lam I||_2."""
     w = s.wiener_norm()
     grid = [complex(x, y) for x in np.linspace(-1.2 * w, 1.2 * w, 5) for y in np.linspace(-1.2 * w, 1.2 * w, 4)]
     ev = eigenvalues(a).values
@@ -196,7 +203,8 @@ def _nodes(s, a) -> list:
 
 
 class TestBandPath:
-    """sigma_min from xGBBRD + DSTEBZ on the band, with dense gesdd below TAU * g."""
+    """sigma_min from xGBBRD + DSTEBZ on the band, and from dense gesdd only
+    where those routines are not found."""
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
     def test_agrees_with_gesdd(self, s):
@@ -206,17 +214,6 @@ class TestBandPath:
                     sv = np.linalg.svd(sec.entries - lam * np.eye(N), compute_uv=False)
                     got = smallest_singular_value(sec, lam)
                     assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (N, lam)
-
-    @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
-    def test_gershgorin_bound_brackets_the_norm(self, s):
-        routines = linalg._lapack()
-        assert routines is not None, "no band routines found in numpy's LAPACK"
-        for N in (50, 200):
-            for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
-                for lam in _nodes(s, sec.entries):
-                    norm = np.linalg.norm(sec.entries - lam * np.eye(N), 2)
-                    _, g = linalg._band_sigma_min(routines, sec, lam)
-                    assert norm <= g <= 2 * norm, (N, lam)
 
     def test_ellipse_grid_at_order_800(self):
         # four nodes of the ellipse config's own 32 x 24 grid, sigma_min from
@@ -231,20 +228,10 @@ class TestBandPath:
             got = smallest_singular_value(sec, lam)
             assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (i, j)
 
-    def test_dense_value_between_the_norm_and_the_gershgorin_bound(self):
-        # the Hardy tridiagonal of test_symbol_free_section at N = 40, just off its
-        # eigenvalue 2.5: the band value clears TAU ||A - lam I||_2 but not TAU g,
-        # and differs from gesdd's in its last digits, so only the dense value passes
-        N, z = 40, 2.5 + 4.06e-7
-        d = np.zeros(N)
-        d[0] = 2.0
-        sec = ts.FiniteSection(order=N, bands={0: d, 1: np.ones(N - 1), -1: np.ones(N - 1)})
-        sv = np.linalg.svd(linalg._real_if_real(sec.entries - z * np.eye(N)), compute_uv=False)
-        sigma, g = linalg._band_sigma_min(linalg._lapack(), sec, z)
-        assert linalg.TAU * sv[0] <= sigma < linalg.TAU * g and sigma != sv[-1]
-        assert smallest_singular_value(sec, z) == sv[-1]
-
-    def test_fit_never_calls_dense_svd(self, monkeypatch):
+    @pytest.mark.parametrize("case", ["fit", "real", "complex"])
+    def test_fit_and_eigenvalue_nodes_never_call_dense_svd(self, monkeypatch, case):
+        # the resolvent fit's 16 points, or the four eigenvalue nodes of
+        # _nodes, where sigma_min is below the rounding floor
         routines, calls = linalg._lapack(), []
         assert routines is not None, "no band routines found in numpy's LAPACK"
 
@@ -257,30 +244,35 @@ class TestBandPath:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": dstebz})
-        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
-        curve = ts.sample_curve(s)
-        w = s.wiener_norm()
-        pts = ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16))
-        ts.resolvent_growth_fit(s, pts, 200, curve=curve)
-        assert len(calls) == 16
+        if case == "fit":
+            s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+            curve = ts.sample_curve(s)
+            w = s.wiener_norm()
+            pts = ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16))
+            ts.resolvent_growth_fit(s, pts, 200, curve=curve)
+            assert len(calls) == 16
+        else:
+            s = GATE_SYMBOLS[1 if case == "real" else 2]
+            sec = ts.bt_section(s, 50)
+            for lam in _nodes(s, sec.entries)[-4:]:
+                smallest_singular_value(sec, lam)
+            assert len(calls) == 4
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
     def test_dense_value_bit_for_bit(self, monkeypatch, s):
+        # the routines not found: every node is the dense fallback's gesdd value
         sec = ts.bt_section(s, 50)
         a = sec.entries
-        dense = {lam: np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False) for lam in _nodes(s, a)}
-        below = [lam for lam, sv in dense.items() if sv[-1] < linalg.TAU * sv[0]]
-        assert len(below) >= 4  # the eigenvalue nodes
-        for lam in below:
-            assert smallest_singular_value(sec, lam) == dense[lam][-1]
-        monkeypatch.setattr(linalg, "_lapack", lambda: None)  # the routines not found
-        for lam, sv in dense.items():
+        monkeypatch.setattr(linalg, "_lapack", lambda: None)
+        for lam in _nodes(s, a):
+            sv = np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False)
             assert smallest_singular_value(sec, lam) == sv[-1]
 
-    @pytest.mark.parametrize("z", [2.5, 2.6, 2.5 + 0.3j])
+    @pytest.mark.parametrize("z", [2.5, 2.6, 2.5 + 0.3j, 2.5 + 4.06e-7])
     def test_symbol_free_section(self, z):
         # the Hardy tridiagonal with beta = 2 at (0, 0), exact eigenvalue
-        # beta + 1 / beta = 2.5: no HT or BT section, only bands
+        # beta + 1 / beta = 2.5: no HT or BT section, only bands; 2.5 + 4.06e-7,
+        # just off it, is checked against gesdd only
         sigma = []
         for N in (10, 20, 40):
             d = np.zeros(N)
@@ -291,7 +283,7 @@ class TestBandPath:
             assert abs(sigma[-1] - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], N
         if z == 2.5:
             assert sigma[0] == pytest.approx(1.07e-6, rel=1e-2) and sigma[1] < 2e-12 and sigma[2] < 4 * EPS * sv[0]
-        else:
+        elif z in (2.6, 2.5 + 0.3j):
             assert sigma == pytest.approx([0.1 if z == 2.6 else 0.3] * 3, rel=2e-5)
 
     @pytest.mark.parametrize("lam", [0, 0.5, -2, 1 + 1j, 3e-5j])
