@@ -228,10 +228,10 @@ class TestBandPath:
             got = smallest_singular_value(sec, lam)
             assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (i, j)
 
-    @pytest.mark.parametrize("case", ["fit", "real", "complex"])
-    def test_fit_and_eigenvalue_nodes_never_call_dense_svd(self, monkeypatch, case):
-        # the resolvent fit's 16 points, or the four eigenvalue nodes of
-        # _nodes, where sigma_min is below the rounding floor
+    @pytest.fixture
+    def band_calls(self, monkeypatch) -> list:
+        """The band routines found, np.linalg.svd failing if called; the list
+        collects one entry per DSTEBZ call."""
         routines, calls = linalg._lapack(), []
         assert routines is not None, "no band routines found in numpy's LAPACK"
 
@@ -244,19 +244,25 @@ class TestBandPath:
 
         monkeypatch.setattr(np.linalg, "svd", svd)
         monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": dstebz})
-        if case == "fit":
-            s = ts.HarmonicSymbol({2: 1, -1: 0.8})
-            curve = ts.sample_curve(s)
-            w = s.wiener_norm()
-            pts = ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16))
-            ts.resolvent_growth_fit(s, pts, 200, curve=curve)
-            assert len(calls) == 16
-        else:
-            s = GATE_SYMBOLS[1 if case == "real" else 2]
-            sec = ts.bt_section(s, 50)
-            for lam in _nodes(s, sec.entries)[-4:]:
-                smallest_singular_value(sec, lam)
-            assert len(calls) == 4
+        return calls
+
+    def test_fit_never_calls_dense_svd(self, band_calls):
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        curve = ts.sample_curve(s)
+        w = s.wiener_norm()
+        pts = ts.points_at_distance(curve, np.linspace(0.05 * w, 0.5 * w, 16))
+        ts.resolvent_growth_fit(s, pts, 200, curve=curve)
+        assert len(band_calls) == 16
+
+    @pytest.mark.parametrize("s", GATE_SYMBOLS, ids=range(len(GATE_SYMBOLS)))
+    def test_eigenvalue_nodes_never_call_dense_svd(self, band_calls, s):
+        # the four eigenvalue nodes of _nodes, where sigma_min is below the
+        # rounding floor, stay on the band path
+        for N in (50, 200):
+            for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
+                for lam in _nodes(s, sec.entries)[-4:]:
+                    smallest_singular_value(sec, lam)
+        assert len(band_calls) == 16
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
     def test_dense_value_bit_for_bit(self, monkeypatch, s):
