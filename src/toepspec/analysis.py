@@ -84,7 +84,7 @@ def weyl_diagnostic(s: HarmonicSymbol, N: int, curve: SymbolCurve | None = None)
     N = int(N)
     if N < 16:
         raise ValueError(f"need N >= 16, got {N}")
-    res = eigenvalues(bt_section(s, N).entries)
+    res = eigenvalues(bt_section(s, N))
     if not res.converged:
         return None
     return _near_fraction(s, res.values, sample_curve(s) if curve is None else curve)

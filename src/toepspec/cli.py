@@ -241,7 +241,7 @@ def cmd_spectrum(cfg: RunConfig) -> int:
     out = cfg.output_dir
     code = EXIT_OK
     for n in cfg.report.ladder:
-        res = eigenvalues(_section(cfg, n).entries)
+        res = eigenvalues(_section(cfg, n))
         if not res.converged:
             print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE

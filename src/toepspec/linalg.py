@@ -1,23 +1,27 @@
 """Linear algebra through LAPACK as shipped with NumPy.
 
-Eigenvalues of a dense square matrix go through ``np.linalg.eigvals``.
-sigma_min(A - lam I) takes A as a banded ``FiniteSection`` and packs LAPACK
-band storage from its diagonals as stored (kl, ku its extreme offsets):
-``xGBBRD`` reduces the band to a real bidiagonal B (diagonal d, superdiagonal
-e), and ``DSTEBZ`` bisects for one eigenvalue of its Golub-Kahan tridiagonal,
-the 2N x 2N matrix with zero diagonal and off-diagonal (d1, e1, d2, ..., dN),
-whose eigenvalues are +-sigma_i(B): the (N + 1)-th smallest is sigma_min.
-With ABSTOL twice the underflow threshold, bisection on this zero-diagonal
-tridiagonal finds it to high relative accuracy (Demmel & Kahan 1990); the
-band reduction is backward stable, like ``gesdd``.  The cost is O(N^2
-(kl + ku)) for the reduction and O(N) per bisection step, instead of O(N^3).
+Both functions take the matrix A as a ``FiniteSection``.  Its eigenvalues
+are those of its dense matrix ``section.entries``, by ``np.linalg.eigvals``.
+sigma_min(A - lam I) packs LAPACK band storage from its diagonals as stored
+(kl, ku its extreme offsets): ``xGBBRD`` reduces the band to a real
+bidiagonal B (diagonal d, superdiagonal e), and ``DSTEBZ`` bisects for one
+eigenvalue of its Golub-Kahan tridiagonal, the 2N x 2N matrix with zero
+diagonal and off-diagonal (d1, e1, d2, ..., dN), whose eigenvalues are
++-sigma_i(B): the (N + 1)-th smallest is sigma_min.  With ABSTOL twice the
+underflow threshold, bisection on this zero-diagonal tridiagonal finds it to
+high relative accuracy (Demmel & Kahan 1990); the band reduction is backward
+stable, like ``gesdd``.  The cost is O(N^2 (kl + ku)) for the reduction and
+O(N) per bisection step, instead of O(N^3).  Scaling the band by the power
+of two 2^-p that brings its largest real or imaginary part into [1/2, 1), and
+sigma back by 2^p, is exact (but for parts below 2^-1022 times the largest):
+sigma_min is scale-free, and no routine under- or overflows at any magnitude.
 The routines are looked up once, on the first call, in the library
 ``np.linalg`` itself calls, under the ILP64 names of NumPy's wheels only.
 Their value agrees with ``gesdd``'s within 1e-8 sigma + 4 eps ||A - lam I||_2
 (gated in the tests); below the rounding floor, about eps ||A - lam I||_2,
 neither is a measurement.  Only where the routines are not found (MKL or
-system-LAPACK builds, Windows) is the dense matrix built: the value is then
-dense ``np.linalg.svd``'s on ``section.entries``.
+system-LAPACK builds, Windows) does sigma_min build the dense matrix: the
+value is then dense ``np.linalg.svd``'s on ``section.entries``.
 
 A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
 A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
@@ -29,20 +33,12 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .sections import FiniteSection
-
-
-def _as_square(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=complex)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError(f"matrix must be square, got shape {a.shape}")
-    if not np.all(np.isfinite(a.real)) or not np.all(np.isfinite(a.imag)):
-        raise ValueError("matrix contains non-finite entries")
-    return a
 
 
 def _real_if_real(b: np.ndarray) -> np.ndarray:
@@ -66,15 +62,14 @@ class EigenResult:
         self.values.setflags(write=False)
 
 
-def eigenvalues(a: np.ndarray) -> EigenResult:
-    """All eigenvalues via LAPACK (``np.linalg.eigvals``).
+def eigenvalues(section: FiniteSection) -> EigenResult:
+    """All eigenvalues of ``section.entries`` via LAPACK (``np.linalg.eigvals``).
 
     LAPACK non-convergence is reported through ``converged=False`` with no
     values, never an exception.
     """
-    a = _as_square(a)
     try:
-        values = np.linalg.eigvals(_real_if_real(a))
+        values = np.linalg.eigvals(_real_if_real(section.entries))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
@@ -128,7 +123,8 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> flo
     for off, band in section.bands.items():
         ab[max(0, -off) : n - max(0, off), ku + off] = band
     ab[:, ku] -= lam
-    ab = np.ascontiguousarray(_real_if_real(ab))
+    p = math.frexp(np.abs(ab.view(float)).max())[1]  # no modulus, which could overflow
+    ab = np.ascontiguousarray(_real_if_real(np.ldexp(ab.view(float), -p).view(complex)))
     d, e, info = np.empty(n), np.zeros(n), ctypes.c_int64(0)
     dummy = np.zeros(1, dtype=ab.dtype)  # Q, PT and C, not referenced with VECT = 'N'
     work = [np.empty(2 * n)] if ab.dtype == float else [np.empty(n, dtype=complex), np.empty(n)]
@@ -154,7 +150,9 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> flo
         raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
     if m.value != 1:
         raise np.linalg.LinAlgError(f"band SVD failed ({m.value} eigenvalues found, not 1)")
-    return float(w[0])
+    # bisection may land below a zero sigma by ABSTOL; a sigma beyond the doubles is inf
+    with np.errstate(over="ignore"):
+        return float(np.ldexp(max(w[0], 0.0), p))
 
 
 def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:

@@ -191,7 +191,7 @@ def detect_discrete(
     rung_eigs: dict[int, np.ndarray] = {}
     for n in ladder:
         top = bt_section(s, n)  # after the loop: the order-N_max section
-        res = eigenvalues(top.entries)
+        res = eigenvalues(top)
         if res.converged:
             rung_eigs[n] = res.values
     delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, top)

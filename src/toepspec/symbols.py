@@ -277,7 +277,8 @@ def _segment_distances(p, q, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     o2 = _cross2(q - p, b - p)
     o3 = _cross2(b - a, p - a)
     o4 = _cross2(b - a, q - a)
-    d[(o1 * o2 < 0) & (o3 * o4 < 0)] = 0.0
+    # signs, not a product of cross products, which underflows or overflows far from unit scale
+    d[(np.sign(o1) * np.sign(o2) < 0) & (np.sign(o3) * np.sign(o4) < 0)] = 0.0
     return d
 
 

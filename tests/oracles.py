@@ -11,7 +11,8 @@ one-angle-at-a-time ``cmath`` sum and the full pair search that the faster
 code must reproduce exactly.  ``raster_f0`` finds the outer component by a
 flood fill, with no winding numbers.  ``singular_values_jacobi`` is a
 one-sided Jacobi SVD, independent of LAPACK.  ``as_section`` hands a dense
-matrix to ``smallest_singular_value``, which takes sections only.
+matrix to ``eigenvalues`` and ``smallest_singular_value``, which take
+sections only.
 """
 
 from __future__ import annotations

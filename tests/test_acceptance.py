@@ -79,7 +79,7 @@ def test_criterion_3_eigensolver_vs_charpoly():
         rng = np.random.default_rng(11)
         for n in (5, 10, 20, 50):
             a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-            res = ts.eigenvalues(a)
+            res = ts.eigenvalues(as_section(a))
             assert res.converged
             assert match_distance(res.values, charpoly_roots(a)) <= 1e-7
             norm = np.linalg.norm(a)
@@ -99,7 +99,7 @@ def test_criterion_4_tridiagonal_closed_form():
         # tridiagonal with off-diagonal sqrt(a)
         oracle = sq * (np.diag(np.ones(n - 1), 1) + np.diag(np.ones(n - 1), -1))
         assert np.max(np.abs(sym - oracle)) <= 1e-12
-        res = ts.eigenvalues(sym)
+        res = ts.eigenvalues(as_section(sym))
         assert res.converged
         k = np.arange(1, n + 1)
         closed = 2 * sq * np.cos(k * np.pi / (n + 1))
@@ -173,7 +173,7 @@ def test_criterion_7_detection_pipeline():
             curve = ts.sample_curve(s, opts.curve_samples)
             rungs = []
             for n in ladder:
-                res = ts.eigenvalues(sections[n].entries)
+                res = ts.eigenvalues(sections[n])
                 assert res.converged, f"N={n} did not converge"
                 ev = res.values
                 far = np.array([curve.distance_to(z) >= delta for z in ev])

@@ -1,4 +1,5 @@
 import ctypes
+import math
 from pathlib import Path
 
 import numpy as np
@@ -45,13 +46,13 @@ def random_complex(rng, n, scale=1.0):
 class TestEigenvalues:
     def test_diagonal(self):
         d = np.diag([1.0, 2.0, 3.0 + 1j])
-        got = eigenvalues(d)
+        got = eigenvalues(as_section(d))
         assert got.converged
         assert match_distance(got.values, [1, 2, 3 + 1j]) < 1e-13
 
     def test_jordan_block(self):
         a = np.diag(np.ones(5), 1) + 2.0 * np.eye(6)
-        got = eigenvalues(a)
+        got = eigenvalues(as_section(a))
         # defective matrices still converge; roots scatter like eps^{1/6}
         assert match_distance(got.values, [2.0] * 6) < 1e-2
 
@@ -59,35 +60,25 @@ class TestEigenvalues:
         rng = np.random.default_rng(3)
         for n in (4, 7, 12):
             a = random_complex(rng, n)
-            got = eigenvalues(a)
+            got = eigenvalues(as_section(a))
             assert got.converged
             assert match_distance(got.values, charpoly_roots(a)) < 1e-8
 
     def test_trace_and_det_identities(self):
         rng = np.random.default_rng(4)
         a = random_complex(rng, 9)
-        vals = eigenvalues(a).values
+        vals = eigenvalues(as_section(a)).values
         assert np.sum(vals) == pytest.approx(np.trace(a), abs=1e-10)
         assert np.prod(vals) == pytest.approx(np.linalg.det(a), rel=1e-8)
 
     def test_toeplitz_tridiagonal_closed_form(self):
         n, b1, bm1 = 30, 1.0, 0.25
-        a = ts.ht_section(ts.HarmonicSymbol({1: b1, -1: bm1}), n).entries
+        sec = ts.ht_section(ts.HarmonicSymbol({1: b1, -1: bm1}), n)
         k = np.arange(1, n + 1)
         want = 2 * np.sqrt(b1 * bm1) * np.cos(k * np.pi / (n + 1))
-        got = eigenvalues(a)
+        got = eigenvalues(sec)
         assert got.converged
         assert match_distance(got.values, want) < 1e-8
-
-    def test_rejects_nonsquare(self):
-        with pytest.raises(ValueError):
-            eigenvalues(np.ones((2, 3)))
-
-    def test_rejects_nonfinite(self):
-        a = np.eye(3, dtype=complex)
-        a[1, 1] = np.nan
-        with pytest.raises(ValueError):
-            eigenvalues(a)
 
 
 class TestSmallestSingularValue:
@@ -128,14 +119,14 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("N", [50, 200])
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_section_eigenvalues_are_conjugation_symmetric(self, s, N):
-        ev = eigenvalues(ts.bt_section(s, N).entries).values
+        ev = eigenvalues(ts.bt_section(s, N)).values
         assert np.array_equal(np.sort_complex(ev), np.sort_complex(ev.conj()))
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
     def test_every_eigenvalue_is_backward_stable(self, s):
         sec = ts.bt_section(s, 50)
         floor = 64 * EPS * np.linalg.norm(sec.entries, 2)
-        res = eigenvalues(sec.entries)
+        res = eigenvalues(sec)
         assert res.converged
         assert max(smallest_singular_value(sec, lam) for lam in res.values) <= floor
 
@@ -152,12 +143,12 @@ class TestRealArithmetic:
         monkeypatch.setattr(linalg, "_lapack", lambda: {name: spy(name) for name in routines})
         real = ts.bt_section(REAL_SYMBOLS[0], 20)
         cplx = ts.bt_section(COMPLEX_SYMBOLS[0], 20)
-        eigenvalues(real.entries)
+        eigenvalues(real)
         smallest_singular_value(real, 0.5)
         assert seen == [("eigvals", np.float64), "dgbbrd", "dstebz"]
         seen.clear()
         smallest_singular_value(real, 0.5 + 0.1j)
-        eigenvalues(cplx.entries)
+        eigenvalues(cplx)
         smallest_singular_value(cplx, 0.5)
         assert seen == ["zgbbrd", "dstebz", ("eigvals", np.complex128), "zgbbrd", "dstebz"]
         seen.clear()
@@ -179,7 +170,7 @@ class TestRealArithmetic:
         sec = ts.bt_section(s, N)
         a = sec.entries
         floor = N * EPS * np.linalg.norm(a, 2)
-        real_eigs = [z.real for z in eigenvalues(a).values if z.imag == 0]
+        real_eigs = [z.real for z in eigenvalues(sec).values if z.imag == 0]
         for lam in [*np.linspace(-2, 2, 9), *real_eigs[:3]]:
             got = smallest_singular_value(sec, lam)
             want = np.linalg.svd(a - complex(lam) * np.eye(N), compute_uv=False)[-1]
@@ -193,12 +184,12 @@ GATE_SYMBOLS = [
 ]
 
 
-def _nodes(s, a) -> list:
-    """A 5 x 4 grid over +-1.2 w, w the Wiener norm, and four eigenvalues of ``a``,
+def _nodes(s, sec) -> list:
+    """A 5 x 4 grid over +-1.2 w, w the Wiener norm, and four eigenvalues of ``sec``,
     where sigma_min falls below the backward-error floor eps ||A - lam I||_2."""
     w = s.wiener_norm()
     grid = [complex(x, y) for x in np.linspace(-1.2 * w, 1.2 * w, 5) for y in np.linspace(-1.2 * w, 1.2 * w, 4)]
-    ev = eigenvalues(a).values
+    ev = eigenvalues(sec).values
     return grid + list(ev[np.linspace(0, len(ev) - 1, 4).astype(int)])
 
 
@@ -210,7 +201,7 @@ class TestBandPath:
     def test_agrees_with_gesdd(self, s):
         for N in (50, 200):
             for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
-                for lam in _nodes(s, sec.entries):
+                for lam in _nodes(s, sec):
                     sv = np.linalg.svd(sec.entries - lam * np.eye(N), compute_uv=False)
                     got = smallest_singular_value(sec, lam)
                     assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (N, lam)
@@ -260,7 +251,7 @@ class TestBandPath:
         # rounding floor, stay on the band path
         for N in (50, 200):
             for sec in (ts.bt_section(s, N), ts.ht_section(s, N)):
-                for lam in _nodes(s, sec.entries)[-4:]:
+                for lam in _nodes(s, sec)[-4:]:
                     smallest_singular_value(sec, lam)
         assert len(band_calls) == 16
 
@@ -270,7 +261,7 @@ class TestBandPath:
         sec = ts.bt_section(s, 50)
         a = sec.entries
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
-        for lam in _nodes(s, a):
+        for lam in _nodes(s, sec):
             sv = np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False)
             assert smallest_singular_value(sec, lam) == sv[-1]
 
@@ -292,12 +283,22 @@ class TestBandPath:
         elif z in (2.6, 2.5 + 0.3j):
             assert sigma == pytest.approx([0.1 if z == 2.6 else 0.3] * 3, rel=2e-5)
 
-    @pytest.mark.parametrize("lam", [0, 0.5, -2, 1 + 1j, 3e-5j])
+    @pytest.mark.parametrize("lam", [0, 0.5, -2, 1 + 1j, 3e-5j, 5e-161, 1e-200j, 1e155, -1e300, 1.7e308 + 1.7e308j])
     def test_zero_symbol(self, lam):
-        # no bands: A - lam I = -lam I
+        # no bands: A - lam I = -lam I, at every magnitude: unscaled, the
+        # bisection gave 0 at 5e-161 and 1e-200j and failed at 1e155 and -1e300;
+        # |lam| beyond the doubles gives inf, with no overflow warning
         sec = ts.bt_section(ts.HarmonicSymbol({}), 5)
         assert sec.bands == {}
-        assert smallest_singular_value(sec, lam) == pytest.approx(abs(lam), rel=4 * EPS)
+        want = math.hypot(lam.real, lam.imag)
+        assert smallest_singular_value(sec, lam) == pytest.approx(want, rel=4 * EPS, abs=0)
+
+    @pytest.mark.parametrize("c", [1.0, 2.0 ** 500], ids=["1", "2^500"])
+    def test_zero_sigma_is_not_negative(self, c):
+        # 0 is an eigenvalue of the mixed symbol's BT sections; bisection may
+        # land below it by ABSTOL, which the scaling back by 2^p would magnify
+        sec = ts.bt_section(ts.HarmonicSymbol({2: c, -1: 0.8 * c}), 40)
+        assert 0.0 <= smallest_singular_value(sec, 0) <= 4 * EPS * np.linalg.norm(sec.entries, 2)
 
     def test_resolves_the_band_routines(self):
         routines = linalg._lapack()
@@ -346,7 +347,7 @@ class TestRandomizedInvariants:
     @settings(max_examples=20, deadline=None)
     def test_eigensum_is_trace(self, seed, n):
         a = random_complex(np.random.default_rng(seed), n)
-        res = eigenvalues(a)
+        res = eigenvalues(as_section(a))
         assert res.converged
         scale = max(np.linalg.norm(a), 1.0)
         assert abs(np.sum(res.values) - np.trace(a)) < 1e-9 * n * scale
@@ -357,6 +358,7 @@ class TestRandomizedInvariants:
         rng = np.random.default_rng(seed)
         a = random_complex(rng, 10)
         lam = complex(rng.standard_normal() + 1j * rng.standard_normal())
-        sigma = smallest_singular_value(as_section(a), lam)
-        gap = min(abs(lam - z) for z in eigenvalues(a).values)
+        sec = as_section(a)
+        sigma = smallest_singular_value(sec, lam)
+        gap = min(abs(lam - z) for z in eigenvalues(sec).values)
         assert sigma <= gap + 1e-7 * max(np.linalg.norm(a), 1.0)

@@ -7,7 +7,7 @@ import pytest
 import toepspec as ts
 from oracles import nonconstant_seed0_symbols, random_symbol, raster_f0, scalar_points_at_distance
 from test_acceptance import MIXED_SYMBOLS
-from toepspec import spectra, symbols
+from toepspec import linalg, spectra, symbols
 from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
 from toepspec.spectra import _chain_ladder, _resolve_options
 from toepspec.symbols import _windings
@@ -315,3 +315,35 @@ class TestOptions:
         tight = ts.DetectOptions(cert_tol=1e-300)
         res = ts.detect_discrete(s, ladder=MID_LADDER, opts=tight)
         assert len(res) == 0 and len(res.uncertified) >= 1
+
+
+# the mixed symbol's hole (0, also an eigenvalue of its sections), near-curve
+# and F0 points, and the ellipse's hole and F0 points among them
+SCALE_NODES = (0, 0.4 + 0.3j, 1.8 + 0.01j, 2.5, -1 + 1.2j)
+
+
+@pytest.mark.parametrize("k", [-500, -300, 0, 300, 500])
+def test_scale_covariance(monkeypatch, k):
+    # c = 2^k scales the symbol, its curve and its sections exactly: sigma_min
+    # scales with it, exactly on the band path, and no yes/no answer changes
+    c = 2.0 ** k
+    for coeffs in ({2: 1, -1: 0.8}, {1: 1, -1: 0.5}):
+        s, sc = ts.HarmonicSymbol(coeffs), ts.HarmonicSymbol({j: c * v for j, v in coeffs.items()})
+        curve, curve_c = ts.sample_curve(s), ts.sample_curve(sc)
+        d, dc = ts.curve_diagnostics(curve), ts.curve_diagnostics(curve_c)
+        assert (dc.jordan, dc.cusp_free) == (d.jordan, d.cusp_free)
+        assert dc.min_self_distance == pytest.approx(c * d.min_self_distance, rel=1e-12, abs=0)
+        delta = 0.05 * s.wiener_norm()
+        for z in SCALE_NODES:
+            assert ts.classify(c * z, curve_c, c * delta) is ts.classify(z, curve, delta), z
+    sec, sec_c = (ts.bt_section(ts.HarmonicSymbol({2: b, -1: 0.8 * b}), 40) for b in (1, c))
+    nodes = SCALE_NODES[1:]  # sigma at the eigenvalue 0 is below the rounding floor
+    assert linalg._lapack() is not None, "no band routines found in numpy's LAPACK"
+    assert [ts.smallest_singular_value(sec_c, c * z) for z in nodes] == [
+        c * ts.smallest_singular_value(sec, z) for z in nodes
+    ]
+    monkeypatch.setattr(linalg, "_lapack", lambda: None)
+    for z in nodes:
+        assert ts.smallest_singular_value(sec_c, c * z) == pytest.approx(
+            c * ts.smallest_singular_value(sec, z), rel=1e-14
+        ), z

@@ -459,8 +459,10 @@ class TestLoopWindings:
 
 
 class TestSegmentDistances:
-    def test_proper_crossing_is_zero(self):
-        got = _segment_distances(-1 - 1j, 1 + 1j, np.array([-1 + 1j]), np.array([1 - 1j]))
+    @pytest.mark.parametrize("c", [1.0, 1e-140, 2.0 ** -300, 1e80, 2.0 ** 300], ids=["1", "1e-140", "2^-300", "1e80", "2^300"])
+    def test_proper_crossing_is_zero(self, c):
+        # at every scale c: a product of two cross products, about c^4, would underflow or overflow
+        got = _segment_distances(c * (-1 - 1j), c * (1 + 1j), np.array([c * (-1 + 1j)]), np.array([c * (1 - 1j)]))
         assert got[0] == 0.0
 
     def test_touching_endpoint_is_zero(self):
