@@ -21,7 +21,7 @@ Their value agrees with ``gesdd``'s within 1e-8 sigma + 4 eps ||A - lam I||_2
 (gated in the tests); below the rounding floor, about eps ||A - lam I||_2,
 neither is a measurement.  Only where the routines are not found (MKL or
 system-LAPACK builds, Windows) does sigma_min build the dense matrix: the
-value is then dense ``np.linalg.svd``'s on ``section.entries``.
+value is then ``_dense_sigma_min``'s, dense ``np.linalg.svd`` of A - lam I.
 
 A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
 A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
@@ -155,16 +155,23 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> flo
         return float(np.ldexp(max(w[0], 0.0), p))
 
 
-def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
-    """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
-
-    From the band routines (see the module docstring) when they are found;
-    else from dense LAPACK ``np.linalg.svd`` on ``section.entries``.
-    """
-    lam = complex(lam)
-    routines = _lapack()
-    if routines is not None:
-        return _band_sigma_min(routines, section, lam)
+def _dense_sigma_min(section: FiniteSection, lam: complex) -> float:
+    """sigma_min(A - lam I) by ``np.linalg.svd``, in real arithmetic when it is real."""
     b = section.entries.copy()
     b.flat[:: section.order + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])
+
+
+def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
+    """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
+
+    From the band routines (see the module docstring) when they are found,
+    else ``_dense_sigma_min``; a non-finite lam raises ValueError before either.
+    """
+    lam = complex(lam)
+    if not np.isfinite(lam):
+        raise ValueError(f"lam must be finite, got {lam}")
+    routines = _lapack()
+    if routines is not None:
+        return _band_sigma_min(routines, section, lam)
+    return _dense_sigma_min(section, lam)

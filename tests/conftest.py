@@ -62,9 +62,30 @@ def eigvals_fails_at(monkeypatch):
     return arm
 
 
-@ctypes.CFUNCTYPE(None, *[ctypes.c_void_p] * 18, ctypes.c_size_t, ctypes.c_size_t)
-def _failing_dstebz(*args):
-    ctypes.c_int64.from_address(args[17]).value = 1  # INFO
+def _failing(name: str, info: int):
+    """A stand-in for the band routine ``name`` that only sets INFO, its
+    argument ``info``, to 1."""
+
+    @ctypes.CFUNCTYPE(None, *linalg._ARGUMENTS[name])
+    def routine(*args):
+        ctypes.c_int64.from_address(args[info]).value = 1
+
+    return routine
+
+
+FAILING = {name: _failing(name, info) for name, info in (("dgbbrd", 17), ("zgbbrd", 18), ("dstebz", 17))}
+
+
+@pytest.fixture
+def band_routine_fails(monkeypatch):
+    """Make the band routine ``name`` set INFO = 1 and do nothing else."""
+    routines = linalg._lapack()
+    assert routines is not None, "no band routines found in numpy's LAPACK"
+
+    def arm(name):
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, name: FAILING[name]})
+
+    return arm
 
 
 @pytest.fixture
@@ -78,4 +99,4 @@ def svd_fails(monkeypatch):
     monkeypatch.setattr(np.linalg, "svd", svd)
     routines = linalg._lapack()
     if routines is not None:
-        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": _failing_dstebz})
+        monkeypatch.setattr(linalg, "_lapack", lambda: {**routines, "dstebz": FAILING["dstebz"]})

@@ -398,6 +398,24 @@ class TestPseudospectrum:
         assert last.startswith("svd check: max |band - dense| = ")
         assert float(last.rsplit("=", 1)[1]) < 1e-12
 
+    @pytest.mark.parametrize("low", [1.6e308, 0.0], ids=["every-node", "after-a-match"])
+    def test_svd_check_nan_when_not_comparable(self, tmp_path, capsys, low):
+        # sigma_min = |lam| ~ 2.3e308 is inf on the band path and NaN from the
+        # dense SVD: the check prints nan, not 0, and warns nothing, also when
+        # the first picked node, lam = 0, matches
+        doc = dict(BASE)
+        doc.update(
+            symbol={"f": [[0, 0]], "g": []},
+            region={"re_min": low, "re_max": 1.7e308, "im_min": low, "im_max": 1.7e308},
+            grid={"nx": 2, "ny": 2},
+            section_order=5,
+            output_dir=str(tmp_path),
+        )
+        path = write_config(tmp_path, doc)
+        code = cli.main(["pseudospectrum", "--config", path, "--svd-check"])
+        assert code == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "svd check: max |band - dense| = nan"
+
 
 class TestCurve:
     def test_output_and_diagnostics(self, tmp_path, capsys):

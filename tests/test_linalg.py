@@ -324,6 +324,27 @@ class TestBandPath:
         with pytest.raises(np.linalg.LinAlgError, match=r"band SVD failed \(INFO = 1\)"):
             smallest_singular_value(sec, 0.3 + 0.2j)
 
+    @pytest.mark.parametrize("name, lam", [("dgbbrd", 0.3), ("zgbbrd", 0.3 + 0.2j)])
+    def test_nonzero_gbbrd_info_raises(self, band_routine_fails, name, lam):
+        # the ellipse section is real: a real lam runs dgbbrd, a complex one zgbbrd
+        band_routine_fails(name)
+        sec = ts.bt_section(GATE_SYMBOLS[0], 20)
+        with pytest.raises(np.linalg.LinAlgError, match=r"band SVD failed \(INFO = 1\)"):
+            smallest_singular_value(sec, lam)
+
+    @pytest.mark.parametrize("path", ["band", "dense"])
+    @pytest.mark.parametrize("lam", [complex("nan"), complex("nanj"), complex("inf"), complex("1+infj")], ids=str)
+    def test_nonfinite_lam_rejected(self, monkeypatch, capfd, path, lam):
+        # unchecked, each reached LAPACK: INFO = 4 on the band path; on the
+        # dense one a LinAlgError at nan, and at 1+infj nan with two LAPACK
+        # lines on stderr
+        if path == "dense":
+            monkeypatch.setattr(linalg, "_lapack", lambda: None)
+        sec = ts.bt_section(GATE_SYMBOLS[0], 20)
+        with pytest.raises(ValueError, match="lam must be finite"):
+            smallest_singular_value(sec, lam)
+        assert capfd.readouterr().err == ""
+
 
 class TestJacobiSVD:
     def test_vs_numpy(self):
