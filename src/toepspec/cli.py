@@ -24,10 +24,11 @@ import numpy as np
 from .analysis import ReportOptions, build_report
 from .linalg import _dense_sigma_min, eigenvalues
 from .sections import (
-    _section,
+    bt_section,
     hs_bound,
     hs_difference_sq_series,
     hs_difference_sq_truncated,
+    ht_section,
     series_tol_floor,
 )
 from .spectra import Rect, pseudospectrum
@@ -235,8 +236,9 @@ def cmd_hs_check(cfg: RunConfig) -> int:
 def cmd_spectrum(cfg: RunConfig) -> int:
     out = cfg.output_dir
     code = EXIT_OK
+    build = bt_section if cfg.section_kind == "bt" else ht_section
     for n in cfg.report.ladder:
-        res = eigenvalues(_section(cfg.symbol, n, bt=cfg.section_kind == "bt"))
+        res = eigenvalues(build(cfg.symbol, n))
         if not res.converged:
             print(f"warning: eigensolver did not converge at N={n}", file=sys.stderr)
             code = EXIT_NO_CONVERGENCE
@@ -249,7 +251,8 @@ def cmd_spectrum(cfg: RunConfig) -> int:
 def cmd_pseudospectrum(cfg: RunConfig, svd_check: bool = False) -> int:
     if cfg.region is None:
         raise ConfigError("field 'region' is required for pseudospectrum")
-    section = _section(cfg.symbol, cfg.section_order or cfg.report.ladder[-1], bt=cfg.section_kind == "bt")
+    build = bt_section if cfg.section_kind == "bt" else ht_section
+    section = build(cfg.symbol, cfg.section_order or cfg.report.ladder[-1])
     fieldvals = pseudospectrum(section, cfg.region, cfg.nx, cfg.ny)
     res = fieldvals.re_values()
     ims = fieldvals.im_values()

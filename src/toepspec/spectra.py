@@ -129,14 +129,19 @@ class DetectionResult(Sequence):
 def _resolve_options(
     s: HarmonicSymbol, opts: DetectOptions, top: FiniteSection
 ) -> tuple[float, float, float]:
-    """delta_curve, drift_tol, cert_tol; cert_tol scales with ``top``, the order-N_max BT section."""
+    """delta_curve, drift_tol, cert_tol; cert_tol scales with ``top``, the order-N_max BT section.
+
+    An explicit tolerance that is not a finite positive number raises
+    ValueError; the defaults are 0 for the zero symbol.
+    """
+    for name in ("delta_curve", "drift_tol", "cert_tol"):
+        v = getattr(opts, name)
+        if v is not None and not 0 < v < math.inf:
+            raise ValueError(f"DetectOptions.{name} = {v} is not a finite positive number")
     w = s.wiener_norm()
     delta_curve = opts.delta_curve if opts.delta_curve is not None else 0.05 * w
     drift_tol = opts.drift_tol if opts.drift_tol is not None else 1e-3 * w
-    if opts.cert_tol is not None:
-        cert_tol = opts.cert_tol
-    else:
-        cert_tol = 1e-6 * top.frobenius_norm()
+    cert_tol = opts.cert_tol if opts.cert_tol is not None else 1e-6 * top.frobenius_norm()
     return delta_curve, drift_tol, cert_tol
 
 
@@ -145,30 +150,23 @@ def _chain_ladder(
 ) -> list[tuple[complex, float]]:
     """Greedy nearest-neighbor chaining across consecutive rungs.
 
-    Returns (final location, max step drift) for chains spanning the whole
-    ladder with every step below drift_tol.  Ties break on smaller index.
+    Every start advances at once, one distance matrix per later rung.
+    Returns (final location, max step drift), in start order, for chains
+    spanning the whole ladder with every step below drift_tol.  Ties break
+    on smaller index.
     """
-    chains: list[tuple[complex, float]] = []
-    first = rung_eigs[0]
-    for start in first:
-        loc = complex(start)
-        drift = 0.0
-        alive = True
-        for later in rung_eigs[1:]:
-            if len(later) == 0:
-                alive = False
-                break
-            dists = np.abs(later - loc)
-            idx = int(np.argmin(dists))
-            step = float(dists[idx])
-            if step >= drift_tol:
-                alive = False
-                break
-            drift = max(drift, step)
-            loc = complex(later[idx])
-        if alive:
-            chains.append((loc, drift))
-    return chains
+    loc = np.asarray(rung_eigs[0], dtype=complex)
+    drift = np.zeros(len(loc))
+    for later in rung_eigs[1:]:
+        if len(later) == 0:
+            return []
+        dists = np.abs(later - loc[:, None])
+        idx = np.argmin(dists, axis=1)
+        step = dists[np.arange(len(loc)), idx]
+        # a NaN step neither ends a chain nor raises its drift (fmax)
+        alive = ~(step >= drift_tol)
+        loc, drift = later[idx][alive], np.fmax(drift, step)[alive]
+    return [(complex(z), float(d)) for z, d in zip(loc, drift)]
 
 
 def detect_discrete(
@@ -180,8 +178,9 @@ def detect_discrete(
 
     Pipeline: eigensolve every ladder rung, drop eigenvalues within
     delta_curve of the symbol curve, chain survivors across rungs, certify
-    the remaining chains by sigma_min at the largest order, classify.
-    Deterministic for identical inputs.
+    each distinct chain end by sigma_min at the largest order, classify.
+    Candidates come in (re, im) order; where chains merge, the first
+    chain's drift is kept.  Deterministic for identical inputs.
     """
     ladder = [int(n) for n in ladder]
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
@@ -197,27 +196,22 @@ def detect_discrete(
     delta_curve, drift_tol, cert_tol = _resolve_options(s, opts, top)
     far = [ev[curve.distance_to(ev) >= delta_curve] for ev in rung_eigs.values()]
 
+    # fewer than three converged rungs cannot show persistence
+    chains = _chain_ladder(far, drift_tol) if len(far) >= 3 else []
+    # numpy orders complex values by real, then imaginary part
+    ends, first = np.unique(np.array([loc for loc, _ in chains], dtype=complex), return_index=True)
     certified: list[DiscreteCandidate] = []
     uncertified: list[DiscreteCandidate] = []
-    seen: set[complex] = set()
-    # fewer than three converged rungs cannot show persistence
-    for loc, drift in _chain_ladder(far, drift_tol) if len(far) >= 3 else []:
-        if loc in seen:
-            continue
-        seen.add(loc)
+    for loc, i in zip(ends.tolist(), first.tolist()):
         cert = smallest_singular_value(top, loc)
-        comp = classify(loc, curve, delta_curve)
         cand = DiscreteCandidate(
-            location=loc, persistence_drift=drift, certificate=cert, component=comp
+            location=loc, persistence_drift=chains[i][1], certificate=cert,
+            component=classify(loc, curve, delta_curve),
         )
-        if cert < cert_tol:
-            certified.append(cand)
-        else:
-            uncertified.append(cand)
-    key = lambda c: (c.location.real, c.location.imag)
+        (certified if cert < cert_tol else uncertified).append(cand)
     return DetectionResult(
-        candidates=tuple(sorted(certified, key=key)),
-        uncertified=tuple(sorted(uncertified, key=key)),
+        candidates=tuple(certified),
+        uncertified=tuple(uncertified),
         skipped_rungs=tuple(n for n in ladder if n not in rung_eigs),
         curve=curve,
         rung_eigenvalues=rung_eigs,

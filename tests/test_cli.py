@@ -417,6 +417,60 @@ class TestPseudospectrum:
         assert capsys.readouterr().out.splitlines()[-1] == "svd check: max |band - dense| = nan"
 
 
+class TestSectionBuilders:
+    @pytest.mark.parametrize("kind", ["bt", "ht"])
+    @pytest.mark.parametrize("command", ["spectrum", "pseudospectrum"])
+    def test_public_builder_called_by_name(self, tmp_path, monkeypatch, command, kind):
+        # the builders are looked up on the module at call time, so a wrapper
+        # bound over them (as bench/tracing.py binds its spans) sees each call
+        calls = []
+
+        def spy(name):
+            build = getattr(cli, name)
+
+            def wrapped(s, n):
+                calls.append((name, n))
+                return build(s, n)
+
+            return wrapped
+
+        for name in ("bt_section", "ht_section"):
+            monkeypatch.setattr(cli, name, spy(name))
+        doc = dict(
+            BASE,
+            ladder=[8, 12, 16],
+            region={"re_min": -2, "re_max": 2, "im_min": -1, "im_max": 1},
+            grid={"nx": 2, "ny": 2},
+            section_kind=kind,
+            output_dir=str(tmp_path),
+        )
+        assert cli.main([command, "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        orders = [8, 12, 16] if command == "spectrum" else [16]
+        assert calls == [(f"{kind}_section", n) for n in orders]
+
+
+# The zero symbol and the constant 1: each curve is a single point.
+DEGENERATE = [{"f": [], "g": []}, {"f": [[1, 0]], "g": []}]
+
+
+class TestDegenerateSymbols:
+    @pytest.mark.parametrize("symbol", DEGENERATE, ids=["zero", "one"])
+    def test_report(self, tmp_path, capsys, symbol):
+        doc = {"symbol": symbol, "ladder": [16, 24, 32], "output_dir": str(tmp_path)}
+        assert cli.main(["report", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        payload = json.loads((tmp_path / "report.json").read_text())
+        assert payload["p_hat"] is payload["c_hat"] is payload["curve_diagnostics"] is None
+        assert payload["weyl_fraction"] == 1.0
+        assert payload["candidates"] == payload["uncertified_candidates"] == []
+        assert capsys.readouterr().err == ""
+
+    @pytest.mark.parametrize("symbol", DEGENERATE, ids=["zero", "one"])
+    def test_curve(self, tmp_path, capsys, symbol):
+        doc = {"symbol": symbol, "ladder": [16, 24, 32], "output_dir": str(tmp_path)}
+        assert cli.main(["curve", "--config", write_config(tmp_path, doc)]) == cli.EXIT_OK
+        assert capsys.readouterr().out.splitlines()[-1] == "curve is degenerate (single point)"
+
+
 class TestCurve:
     def test_output_and_diagnostics(self, tmp_path, capsys):
         doc = dict(BASE, curve_samples=128, output_dir=str(tmp_path))

@@ -70,6 +70,18 @@ class TestChaining:
         rungs = [np.array([0.5 + 0j]), np.array([0.6 + 0j]), np.array([0.7 + 0j])]
         assert _chain_ladder(rungs, drift_tol=1e-3) == []
 
+    @pytest.mark.parametrize("empty", [0, 1], ids=["first-rung", "later-rung"])
+    def test_empty_rung_ends_every_chain(self, empty):
+        rungs = [np.array([0.5 + 0j]), np.array([0.5 + 0j]), np.array([0.5 + 0j])]
+        rungs[empty] = np.array([], dtype=complex)
+        assert _chain_ladder(rungs, drift_tol=1e-3) == []
+
+    def test_merging_starts_both_come_back_in_start_order(self):
+        rungs = [np.array([0.5 + 2e-4j, 0.5 - 1e-4j]), np.array([0.5 + 0j]), np.array([0.5 + 0j])]
+        chains = _chain_ladder(rungs, drift_tol=1e-3)
+        assert [loc for loc, _ in chains] == [0.5, 0.5]
+        assert [drift for _, drift in chains] == pytest.approx([2e-4, 1e-4], rel=1e-9)
+
 
 class TestDetectDiscrete:
     def test_pure_shift_pollution_stays_in_spectrum(self):
@@ -129,6 +141,20 @@ class TestDetectDiscrete:
         assert built == [50, 100, 200]
         # cert_tol is that of the order-200 section, bit for bit
         assert [r[2] for r in resolved] == [1e-6 * ts.bt_section(s, 200).frobenius_norm()]
+
+    def test_merged_chains_give_one_candidate(self, monkeypatch):
+        # two chains of the mixed symbol end at the same eigenvalue near 0
+        chains = []
+
+        def chain_ladder(*args):
+            chains.extend(_chain_ladder(*args))
+            return chains
+
+        monkeypatch.setattr(spectra, "_chain_ladder", chain_ladder)
+        res = ts.detect_discrete(ts.HarmonicSymbol({2: 1, -1: 0.8}), ladder=(50, 100, 200))
+        assert len(chains) == 2 and chains[0] == chains[1]
+        assert res.uncertified == () and len(res) == 1
+        assert (res[0].location, res[0].persistence_drift) == chains[0]
 
 
 class TestClassify:
@@ -315,6 +341,13 @@ class TestOptions:
         tight = ts.DetectOptions(cert_tol=1e-300)
         res = ts.detect_discrete(s, ladder=MID_LADDER, opts=tight)
         assert len(res) == 0 and len(res.uncertified) >= 1
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    @pytest.mark.parametrize("field", ["delta_curve", "drift_tol", "cert_tol"])
+    def test_bad_explicit_tolerance_rejected(self, field, bad):
+        opts = ts.DetectOptions(**{field: bad})
+        with pytest.raises(ValueError, match=rf"DetectOptions\.{field} = {bad} is not a finite positive number"):
+            ts.detect_discrete(ts.HarmonicSymbol({2: 1, -1: 0.8}), ladder=(16, 24, 32), opts=opts)
 
 
 # the mixed symbol's hole (0, also an eigenvalue of its sections), near-curve
