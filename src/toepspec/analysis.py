@@ -1,11 +1,13 @@
 """Spectrum distances, the weighted eigenvalue-sum evaluator, and report
-assembly.
+assembly: the layer above ``spectra``, which imports nothing from here.
 
 The Hardy-Toeplitz spectrum of a continuous symbol is realized as
-gamma union { lambda : winding(lambda) != 0 }; distances are measured to
-that filled set.  The eigenvalue sum uses the exponent 3 + epsilon and is
-reported together with its ratio to ||phi'||_2^2 (the empirical stand-in
-for the non-constructive constant of the underlying bound).
+gamma union { lambda : winding(lambda) != 0 }; the Weyl fraction measures
+distances to that filled set.  The eigenvalue sum runs over the F0
+candidates, whose distance to it is their distance to the curve.  It uses
+the exponent 3 + epsilon and is reported together with its ratio to
+||phi'||_2^2 (the empirical stand-in for the non-constructive constant of
+the underlying bound).
 """
 
 from __future__ import annotations
@@ -47,10 +49,11 @@ from .symbols import (
 
 
 def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.ndarray:
-    """Distance to the filled spectrum: zero on the curve (within
-    ON_CURVE_RTOL * scale) or at nonzero winding, the polyline distance
-    otherwise.  ``lam`` is one finite point (gives a float) or a 1-D array
-    of them (gives an array), in blocks of PAIR_BUDGET (point, segment) pairs."""
+    """Distance to the filled Hardy spectrum, as the Weyl fraction uses it:
+    zero on the curve (within ON_CURVE_RTOL * scale) or at nonzero winding,
+    the polyline distance otherwise.  ``lam`` is one finite point (gives a
+    float) or a 1-D array of them (gives an array), in blocks of PAIR_BUDGET
+    (point, segment) pairs."""
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
     d = c.distance_to(pts)
     outside = ~_on_curve(c, d)
@@ -62,16 +65,13 @@ def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.nd
 def lt_sum(
     candidates: Sequence[DiscreteCandidate], c: SymbolCurve, epsilon: float
 ) -> float:
-    """sum of dist(lambda, spectrum)^(3 + epsilon) over outer-component
-    candidates."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive, got {epsilon}")
-    total = 0.0
-    for cand in candidates:
-        if cand.component is not Component.F0:
-            continue
-        total += dist_to_spectrum(cand.location, c) ** (3.0 + epsilon)
-    return total
+    """sum of dist(lambda, spectrum)^(3 + epsilon) over the F0 candidates,
+    with the curve distance, which is the spectrum distance in F0.  An
+    epsilon that is not a finite positive number raises ValueError."""
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} is not a finite positive number")
+    f0 = (cand.location for cand in candidates if cand.component is Component.F0)
+    return sum((c.distance_to(z) ** (3.0 + epsilon) for z in f0), 0.0)
 
 
 def weyl_diagnostic(s: HarmonicSymbol, N: int, curve: SymbolCurve | None = None) -> float | None:

@@ -249,11 +249,10 @@ def resolvent_growth_fit(
     """Least-squares fit of log ||R(z)|| = log c - p log dist(z, spectrum).
 
     ``||R(z)||`` is approximated by 1 / sigma_min(A_N - z) on the
-    Hardy-Toeplitz section.  All samples must lie in the outer component
-    with positive distance to the spectrum.
+    Hardy-Toeplitz section, and dist(z, spectrum) by the curve distance,
+    which it equals in F0.  A sample that ``classify`` does not put in F0
+    raises ValueError.
     """
-    from .analysis import dist_to_spectrum
-
     pts = [complex(z) for z in sample_points]
     if len(pts) < 8:
         raise ValueError(f"need at least 8 sample points, got {len(pts)}")
@@ -262,9 +261,9 @@ def resolvent_growth_fit(
     section = ht_section(s, N)
     log_d = []
     log_rnorm = []
-    for z, d in zip(pts, dist_to_spectrum(np.array(pts), curve)):
-        if d <= 0:
-            raise ValueError(f"sample point {z} is not outside the spectrum")
+    for z, d in zip(pts, curve.distance_to(np.array(pts))):
+        if classify(z, curve, 0.0) is not Component.F0:
+            raise ValueError(f"sample point {z} is not in the outer component F0")
         sig = smallest_singular_value(section, z)
         if sig <= 0:
             raise ValueError(f"singular section at sample point {z}")
@@ -282,25 +281,24 @@ def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[compl
     """Deterministic outer-component points at prescribed spectrum distances.
 
     Target i gets the ray at angle 2 pi i / len(dists) + pi / 16 from one
-    start: the curve centroid when its distance to the filled spectrum is
-    below every target, else the curve sample nearest the centroid.  Its
+    start: the curve centroid, or the curve sample nearest it when
+    ``classify`` puts the centroid in F0 at least the smallest target from
+    the curve; only from there can a ray miss a target's neighbourhood.  Its
     point is where the ray leaves, for the last time, the target's
     neighbourhood of the sampled polyline, the union of one stadium per
     segment: the largest of the segments' exit parameters, in one pass of
     ``_by_blocks``.  Farther out the ray stays beyond the target distance of
-    the curve, so the point has winding 0, lies in F0 and is at the target
-    distance from the filled spectrum, up to rounding.  A target that is not
-    a finite positive number raises ValueError.
+    the curve, so the point lies in F0 at the target distance from the
+    curve, up to rounding.  A target that is not a finite positive number
+    raises ValueError.
     """
-    from .analysis import dist_to_spectrum
-
     d = np.array(dists, dtype=float)
     for i, x in enumerate(d.tolist()):
         if not 0 < x < math.inf:
             raise ValueError(f"target distance dists[{i}] = {x} is not a finite positive number")
     a, b = curve.points, curve.ends
     start = complex(np.mean(a))
-    if len(d) and dist_to_spectrum(start, curve) >= d.min():
+    if len(d) and classify(start, curve, d.min()) is Component.F0:
         start = complex(a[np.argmin(np.abs(a - start))])
     angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / 16 for i in range(len(d))]
     direction = np.array([complex(math.cos(x), math.sin(x)) for x in angles])

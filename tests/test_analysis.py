@@ -1,5 +1,6 @@
 import json
 import math
+import re
 from dataclasses import fields
 
 import numpy as np
@@ -82,6 +83,16 @@ class TestLTSum:
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
         with pytest.raises(ValueError):
             ts.lt_sum([], curve, epsilon=0.0)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_epsilon_must_be_finite_positive(self, bad):
+        # a NaN epsilon would sum to NaN and reach report.json as "epsilon": NaN, not JSON
+        s = ts.from_parts([0, 1], [0, 0.5])
+        msg = re.escape(f"epsilon = {bad} is not a finite positive number")
+        with pytest.raises(ValueError, match=msg):
+            ts.lt_sum([self._cand(3.0)], ts.sample_curve(s), epsilon=bad)
+        with pytest.raises(ValueError, match=msg):
+            ts.build_report(s, ts.ReportOptions(ladder=(16, 24, 32), epsilon=bad))
 
 
 class TestWeylDiagnostic:

@@ -1,6 +1,11 @@
+import ast
 import types
+from pathlib import Path
 
 import toepspec as ts
+
+# each module imports only modules before it
+LAYERS = ("symbols", "sections", "linalg", "spectra", "analysis", "cli")
 
 
 def test_all_is_every_public_non_module_name():
@@ -19,3 +24,15 @@ def test_star_import_binds_all():
     exec("from toepspec import *", ns)
     del ns["__builtins__"]
     assert sorted(ns) == sorted(ts.__all__)
+
+
+def test_modules_import_only_lower_layers():
+    # every relative import counts, also one inside a function
+    for path in sorted(Path(ts.__file__).parent.glob("*.py")):
+        if path.stem == "__init__":
+            continue
+        assert path.stem in LAYERS, path.name
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                for target in [node.module] if node.module else [a.name for a in node.names]:
+                    assert LAYERS.index(target.split(".")[0]) < LAYERS.index(path.stem), (path.stem, target)

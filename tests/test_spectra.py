@@ -307,13 +307,15 @@ class TestResolventFit:
 
     def test_points_at_distance_is_the_last_exit(self):
         # each point lies on its ray, and beyond it the ray never comes back
-        # within the target; the second and 24th draws start at a sample
-        symbols = [ts.HarmonicSymbol(c) for c in FIT_SYMBOLS] + nonconstant_seed0_symbols(40)
+        # within the target; the second and 24th draws start at a sample, and
+        # #300 and #353 at their centroid, in a bounded hole of winding 0
+        seed0 = nonconstant_seed0_symbols(354)
+        symbols = [ts.HarmonicSymbol(c) for c in FIT_SYMBOLS] + seed0[:40] + [seed0[300], seed0[353]]
         for s in symbols:
             curve = ts.sample_curve(s)
             dists = np.linspace(0.05, 0.5, 16) * s.wiener_norm()
             start = complex(np.mean(curve.points))
-            if ts.dist_to_spectrum(start, curve) >= dists[0]:
+            if ts.classify(start, curve, dists[0]) is ts.Component.F0:
                 start = curve.points[np.argmin(np.abs(curve.points - start))]
             beyond = np.geomspace(1e-3, 3, 64) * curve.scale()
             for i, (z, d) in enumerate(zip(ts.points_at_distance(curve, dists), dists)):
@@ -321,6 +323,21 @@ class TestResolventFit:
                 t = ((z - start) * u.conjugate()).real
                 assert t > 0 and abs(start + t * u - z) <= 1e-14 * (1 + abs(z)), (s.coeffs, i)
                 assert np.all(curve.distance_to(z + beyond * u) >= d), (s.coeffs, i)
+
+    @pytest.mark.parametrize("case", ["curve sample", "winding 2", "hole of winding 0"])
+    def test_fit_rejects_a_point_outside_f0(self, case):
+        # the hole's point, the centroid of non-constant seed-0 symbol #300, 0.0595 w from the
+        # curve, has whole-curve winding 0 but lies inside a crossing loop
+        s = {
+            "curve sample": ts.HarmonicSymbol({1: 1}),
+            "winding 2": ts.HarmonicSymbol({2: 1, -1: 0.8}),
+            "hole of winding 0": nonconstant_seed0_symbols(301)[300],
+        }[case]
+        curve = ts.sample_curve(s)
+        bad = {"curve sample": curve.points[5], "winding 2": 0.0, "hole of winding 0": np.mean(curve.points)}[case]
+        pts = [bad, *ts.points_at_distance(curve, np.linspace(0.1, 0.5, 7) * s.wiener_norm())]
+        with pytest.raises(ValueError, match=re.escape(f"sample point {complex(bad)} is not in the outer component F0")):
+            ts.resolvent_growth_fit(s, pts, N=60, curve=curve)
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf, -math.inf])
     def test_points_at_distance_rejects_a_bad_target(self, bad):
