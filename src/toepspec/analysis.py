@@ -62,16 +62,23 @@ def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.nd
     return float(d[0]) if np.ndim(lam) == 0 else d
 
 
+def _check_epsilon(epsilon: float) -> None:
+    if not 0 < epsilon < math.inf:
+        raise ValueError(f"epsilon = {epsilon} is not a finite positive number")
+
+
 def lt_sum(
     candidates: Sequence[DiscreteCandidate], c: SymbolCurve, epsilon: float
 ) -> float:
     """sum of dist(lambda, spectrum)^(3 + epsilon) over the F0 candidates,
-    with the curve distance, which is the spectrum distance in F0.  An
-    epsilon that is not a finite positive number raises ValueError."""
-    if not 0 < epsilon < math.inf:
-        raise ValueError(f"epsilon = {epsilon} is not a finite positive number")
-    f0 = (cand.location for cand in candidates if cand.component is Component.F0)
-    return sum((c.distance_to(z) ** (3.0 + epsilon) for z in f0), 0.0)
+    with the curve distance, which is the spectrum distance in F0.  A term
+    beyond the doubles, or an epsilon that is not finite and positive, raises ValueError."""
+    _check_epsilon(epsilon)
+    f0 = [c.distance_to(cand.location) for cand in candidates if cand.component is Component.F0]
+    try:
+        return sum((d ** (3.0 + epsilon) for d in f0), 0.0)
+    except OverflowError:  # the largest distance overflows first
+        raise ValueError(f"distance {max(f0)} ** (3 + epsilon), epsilon = {epsilon}, overflows a double") from None
 
 
 def weyl_diagnostic(s: HarmonicSymbol, N: int, curve: SymbolCurve | None = None) -> float | None:
@@ -163,6 +170,9 @@ class SpectralReport:
         return json.dumps(self.to_dict(), sort_keys=True, indent=2)
 
     def summary(self) -> str:
+        def opt(v: float | None, spec: str) -> str:
+            return "n/a" if v is None else format(v, spec)
+
         rows = [
             ("||phi'||_2^2", f"{self.derivative_norm_sq:.12g}"),
             ("wiener norm", f"{self.wiener_norm:.12g}"),
@@ -173,15 +183,9 @@ class SpectralReport:
             ("uncertified candidates", str(len(self.uncertified_candidates))),
             (f"eigenvalue sum (eps={self.epsilon:g})", f"{self.lt_sum:.12g}"),
             ("sum, certified only", f"{self.lt_sum_certified_only:.12g}"),
-            (
-                "empirical constant",
-                "n/a" if self.empirical_constant is None else f"{self.empirical_constant:.12g}",
-            ),
-            ("p_hat", "n/a" if self.p_hat is None else f"{self.p_hat:.6g}"),
-            (
-                "weyl fraction",
-                "n/a" if self.weyl_fraction is None else f"{self.weyl_fraction:.6g}",
-            ),
+            ("empirical constant", opt(self.empirical_constant, ".12g")),
+            ("p_hat", opt(self.p_hat, ".6g")),
+            ("weyl fraction", opt(self.weyl_fraction, ".6g")),
         ]
         if self.curve_diagnostics is not None:
             rows.append(("jordan", str(self.curve_diagnostics.jordan)))
@@ -211,20 +215,22 @@ def _fit_p_hat(
 
 
 def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> SpectralReport:
-    """Run diagnostics, Hilbert-Schmidt computations, detection, the
-    eigenvalue sum, and the resolvent fit; deterministic end to end."""
+    """Run Hilbert-Schmidt computations, detection, diagnostics, the eigenvalue
+    sum and the resolvent fit; deterministic end to end.  A bad epsilon,
+    series_tol or tolerance raises ValueError before the first eigensolve."""
     ladder = tuple(int(n) for n in opts.ladder)
     n_max = ladder[-1]
+    _check_epsilon(opts.epsilon)
+    hs_trunc = hs_difference_sq_truncated(s, n_max)
+    series = hs_difference_sq_series(s, opts.series_tol)
+    bound = hs_bound(s)
+
     detection = detect_discrete(s, ladder, opts.detect)
     curve = detection.curve
     try:
         diag = curve_diagnostics(curve)
     except DegenerateCurveError:
         diag = None
-
-    hs_trunc = hs_difference_sq_truncated(s, n_max)
-    series = hs_difference_sq_series(s, opts.series_tol)
-    bound = hs_bound(s)
 
     all_cands = detection.candidates + detection.uncertified
     total = lt_sum(all_cands, curve, opts.epsilon)

@@ -108,10 +108,9 @@ class DetectOptions:
 
 
 @dataclass(frozen=True)
-class DetectionResult(Sequence):
-    """Certified candidates plus detection side notes (``rung_eigenvalues``:
-    all eigenvalues of each converged rung, by order); acts as a sequence of
-    the certified candidates."""
+class DetectionResult:
+    """Certified and uncertified candidates plus detection side notes
+    (``rung_eigenvalues``: all eigenvalues of each converged rung, by order)."""
 
     candidates: tuple[DiscreteCandidate, ...]
     uncertified: tuple[DiscreteCandidate, ...]
@@ -119,25 +118,13 @@ class DetectionResult(Sequence):
     curve: SymbolCurve
     rung_eigenvalues: Mapping[int, np.ndarray]
 
-    def __len__(self) -> int:
-        return len(self.candidates)
-
-    def __getitem__(self, i):
-        return self.candidates[i]
-
 
 def _resolve_options(
     s: HarmonicSymbol, opts: DetectOptions, top: FiniteSection
 ) -> tuple[float, float, float]:
-    """delta_curve, drift_tol, cert_tol; cert_tol scales with ``top``, the order-N_max BT section.
-
-    An explicit tolerance that is not a finite positive number raises
-    ValueError; the defaults are 0 for the zero symbol.
-    """
-    for name in ("delta_curve", "drift_tol", "cert_tol"):
-        v = getattr(opts, name)
-        if v is not None and not 0 < v < math.inf:
-            raise ValueError(f"DetectOptions.{name} = {v} is not a finite positive number")
+    """delta_curve, drift_tol, cert_tol, each the explicit value or its
+    default; cert_tol scales with ``top``, the order-N_max BT section.  The
+    defaults are 0 for the zero symbol."""
     w = s.wiener_norm()
     delta_curve = opts.delta_curve if opts.delta_curve is not None else 0.05 * w
     drift_tol = opts.drift_tol if opts.drift_tol is not None else 1e-3 * w
@@ -180,11 +167,17 @@ def detect_discrete(
     delta_curve of the symbol curve, chain survivors across rungs, certify
     each distinct chain end by sigma_min at the largest order, classify.
     Candidates come in (re, im) order; where chains merge, the first
-    chain's drift is kept.  Deterministic for identical inputs.
+    chain's drift is kept.  Deterministic for identical inputs.  A bad
+    ladder, or an explicit tolerance that is not a finite positive number,
+    raises ValueError before the first eigensolve.
     """
     ladder = [int(n) for n in ladder]
     if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
         raise ValueError("ladder must be strictly increasing with length >= 3")
+    for name in ("delta_curve", "drift_tol", "cert_tol"):
+        v = getattr(opts, name)
+        if v is not None and not 0 < v < math.inf:
+            raise ValueError(f"DetectOptions.{name} = {v} is not a finite positive number")
     curve = sample_curve(s, opts.curve_samples)
 
     rung_eigs: dict[int, np.ndarray] = {}

@@ -7,7 +7,8 @@ import numpy as np
 import pytest
 
 import toepspec as ts
-
+from toepspec import analysis, spectra
+from toepspec.sections import series_tol_floor
 
 SMALL_LADDER = (100, 200, 400)
 
@@ -93,6 +94,40 @@ class TestLTSum:
             ts.lt_sum([self._cand(3.0)], ts.sample_curve(s), epsilon=bad)
         with pytest.raises(ValueError, match=msg):
             ts.build_report(s, ts.ReportOptions(ladder=(16, 24, 32), epsilon=bad))
+
+    def test_overflowing_term_raises_value_error(self):
+        # distance 1.5 from the ellipse: 1.5 ** (3 + 1e308) is beyond the doubles
+        curve = ts.sample_curve(ts.from_parts([0, 1], [0, 0.5]))
+        d = curve.distance_to(3.0)
+        msg = re.escape(f"distance {d} ** (3 + epsilon), epsilon = 1e+308, overflows a double")
+        with pytest.raises(ValueError, match=msg):
+            ts.lt_sum([self._cand(3.0)], curve, epsilon=1e308)
+        assert ts.lt_sum([self._cand(3.0)], curve, epsilon=100.0) == 1.3721439741813514e18
+
+
+class TestReportOptionsCheckedFirst:
+    """A bad ReportOptions raises before detection eigensolves a rung."""
+
+    S = ts.from_parts([0, 1], [0, 0.5])
+
+    @pytest.fixture
+    def solves(self, monkeypatch):
+        calls = []
+        for module in (spectra, analysis):
+            monkeypatch.setattr(module, "eigenvalues", lambda a: calls.append(a.order))
+        return calls
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
+    def test_bad_epsilon(self, solves, bad):
+        with pytest.raises(ValueError, match=re.escape(f"epsilon = {bad} is not a finite positive number")):
+            ts.build_report(self.S, ts.ReportOptions(ladder=(16, 24, 32), epsilon=bad))
+        assert solves == []
+
+    def test_series_tol_below_floor(self, solves):
+        assert 1e-30 < series_tol_floor(self.S)
+        with pytest.raises(ValueError, match="tol must be positive and >= 4 eps"):
+            ts.build_report(self.S, ts.ReportOptions(ladder=(16, 24, 32), series_tol=1e-30))
+        assert solves == []
 
 
 class TestWeylDiagnostic:

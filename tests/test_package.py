@@ -36,3 +36,12 @@ def test_modules_import_only_lower_layers():
             if isinstance(node, ast.ImportFrom) and node.level == 1:
                 for target in [node.module] if node.module else [a.name for a in node.names]:
                     assert LAYERS.index(target.split(".")[0]) < LAYERS.index(path.stem), (path.stem, target)
+
+
+def test_readme_quick_start_runs():
+    # the first python block of README.md, the Quick start, as written there
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    head, rest = readme.split("```python\n", 1)
+    # padded so that a traceback names the README's own line numbers
+    block = "\n" * (head.count("\n") + 1) + rest.split("```", 1)[0]
+    exec(compile(block, "README.md", "exec"), {})

@@ -89,16 +89,16 @@ class TestDetectDiscrete:
         # lies in the winding-1 disk and must never be reported as discrete
         # spectrum in the outer component
         res = ts.detect_discrete(ts.HarmonicSymbol({1: 1}), ladder=SMALL_LADDER)
-        for cand in res:
+        for cand in res.candidates:
             assert abs(cand.location) < 0.1
             assert cand.component is ts.Component.BOUNDED_HOLE
-        assert ts.lt_sum(list(res), res.curve, epsilon=0.01) == 0.0
+        assert ts.lt_sum(res.candidates, res.curve, epsilon=0.01) == 0.0
 
     def test_mixed_symbol_candidate(self):
         s = ts.HarmonicSymbol({2: 1, -1: 0.8})
         res = ts.detect_discrete(s, ladder=MID_LADDER)
-        assert len(res) >= 1
-        best = min(res, key=lambda c: abs(c.location))
+        assert len(res.candidates) >= 1
+        best = min(res.candidates, key=lambda c: abs(c.location))
         assert abs(best.location) < 0.2
         assert best.certificate < 1e-6 * 400  # loose sanity, exact tol inside
         assert best.component in (ts.Component.BOUNDED_HOLE, ts.Component.F0)
@@ -120,7 +120,7 @@ class TestDetectDiscrete:
         eigvals_fails_at(120)
         res = ts.detect_discrete(ts.HarmonicSymbol({1: 1}), ladder=SMALL_LADDER)
         assert res.skipped_rungs == (120,)
-        assert len(res) == 0 and res.uncertified == ()
+        assert len(res.candidates) == 0 and res.uncertified == ()
         assert sorted(res.rung_eigenvalues) == [60, 240]
 
     def test_each_bt_order_built_once(self, monkeypatch):
@@ -153,8 +153,8 @@ class TestDetectDiscrete:
         monkeypatch.setattr(spectra, "_chain_ladder", chain_ladder)
         res = ts.detect_discrete(ts.HarmonicSymbol({2: 1, -1: 0.8}), ladder=(50, 100, 200))
         assert len(chains) == 2 and chains[0] == chains[1]
-        assert res.uncertified == () and len(res) == 1
-        assert (res[0].location, res[0].persistence_drift) == chains[0]
+        assert res.uncertified == () and len(res.candidates) == 1
+        assert (res.candidates[0].location, res.candidates[0].persistence_drift) == chains[0]
 
 
 class TestClassify:
@@ -357,7 +357,7 @@ class TestOptions:
         s = ts.HarmonicSymbol({2: 1, -1: 0.8})
         tight = ts.DetectOptions(cert_tol=1e-300)
         res = ts.detect_discrete(s, ladder=MID_LADDER, opts=tight)
-        assert len(res) == 0 and len(res.uncertified) >= 1
+        assert len(res.candidates) == 0 and len(res.uncertified) >= 1
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -1.0, 0.0])
     @pytest.mark.parametrize("field", ["delta_curve", "drift_tol", "cert_tol"])
@@ -365,6 +365,15 @@ class TestOptions:
         opts = ts.DetectOptions(**{field: bad})
         with pytest.raises(ValueError, match=rf"DetectOptions\.{field} = {bad} is not a finite positive number"):
             ts.detect_discrete(ts.HarmonicSymbol({2: 1, -1: 0.8}), ladder=(16, 24, 32), opts=opts)
+
+    @pytest.mark.parametrize("field", ["delta_curve", "drift_tol", "cert_tol"])
+    def test_bad_explicit_tolerance_rejected_before_any_eigensolve(self, monkeypatch, field):
+        calls = []
+        monkeypatch.setattr(spectra, "eigenvalues", lambda a: calls.append(a.order))
+        opts = ts.DetectOptions(**{field: -1.0})
+        with pytest.raises(ValueError, match=rf"DetectOptions\.{field} = -1\.0 is not a finite positive number"):
+            ts.detect_discrete(ts.HarmonicSymbol({2: 1, -1: 0.8}), ladder=(16, 24, 32), opts=opts)
+        assert calls == []
 
 
 # the mixed symbol's hole (0, also an eigenvalue of its sections), near-curve
