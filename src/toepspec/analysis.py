@@ -71,14 +71,18 @@ def lt_sum(
     candidates: Sequence[DiscreteCandidate], c: SymbolCurve, epsilon: float
 ) -> float:
     """sum of dist(lambda, spectrum)^(3 + epsilon) over the F0 candidates,
-    with the curve distance, which is the spectrum distance in F0.  A term
-    beyond the doubles, or an epsilon that is not finite and positive, raises ValueError."""
+    with the curve distance, which is the spectrum distance in F0.  A term or
+    a sum beyond the doubles, or an epsilon that is not finite and positive,
+    raises ValueError."""
     _check_epsilon(epsilon)
     f0 = [c.distance_to(cand.location) for cand in candidates if cand.component is Component.F0]
     try:
-        return sum((d ** (3.0 + epsilon) for d in f0), 0.0)
+        total = sum((d ** (3.0 + epsilon) for d in f0), 0.0)
     except OverflowError:  # the largest distance overflows first
         raise ValueError(f"distance {max(f0)} ** (3 + epsilon), epsilon = {epsilon}, overflows a double") from None
+    if total == math.inf:  # finite terms whose sum is not
+        raise ValueError(f"the sum of {len(f0)} terms ** (3 + epsilon), epsilon = {epsilon}, overflows a double")
+    return total
 
 
 def weyl_diagnostic(s: HarmonicSymbol, N: int, curve: SymbolCurve | None = None) -> float | None:

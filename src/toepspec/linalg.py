@@ -1,7 +1,8 @@
 """Linear algebra through LAPACK as shipped with NumPy.
 
 Both functions take the matrix A as a ``FiniteSection``.  Its eigenvalues
-are those of its dense matrix ``section.entries``, by ``np.linalg.eigvals``.
+come from ``np.linalg.eigvals`` on a dense matrix filled from its bands for
+this call alone, real when no band has a nonzero imaginary part.
 sigma_min(A - lam I) packs LAPACK band storage from its diagonals as stored
 (kl, ku its extreme offsets): ``xGBBRD`` reduces the band to a real
 bidiagonal B (diagonal d, superdiagonal e), and ``DSTEBZ`` bisects for one
@@ -38,7 +39,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sections import FiniteSection
+from .sections import FiniteSection, _dense
 
 
 def _real_if_real(b: np.ndarray) -> np.ndarray:
@@ -63,13 +64,16 @@ class EigenResult:
 
 
 def eigenvalues(section: FiniteSection) -> EigenResult:
-    """All eigenvalues of ``section.entries`` via LAPACK (``np.linalg.eigvals``).
+    """All eigenvalues of the section via LAPACK (``np.linalg.eigvals``), on a
+    dense matrix filled from its bands (see the module docstring); the cached
+    ``section.entries`` are neither read nor built.
 
     LAPACK non-convergence is reported through ``converged=False`` with no
     values, never an exception.
     """
+    dtype = complex if any(band.imag.any() for band in section.bands.values()) else float
     try:
-        values = np.linalg.eigvals(_real_if_real(section.entries))
+        values = np.linalg.eigvals(_dense(section, dtype))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)

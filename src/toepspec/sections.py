@@ -42,10 +42,7 @@ class FiniteSection:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        a = np.zeros((self.order, self.order), dtype=complex)
-        for j, band in self.bands.items():
-            k = np.arange(len(band))
-            a[k + max(j, 0), k + max(-j, 0)] = band
+        a = _dense(self, complex)
         a.setflags(write=False)
         return a
 
@@ -55,6 +52,18 @@ class FiniteSection:
 
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.bands.values()))
+
+
+def _dense(section: FiniteSection, dtype: type) -> np.ndarray:
+    """A new dense ``dtype`` (complex or float) matrix of ``section``, filled from
+    its bands; float keeps only their real parts."""
+    n = section.order
+    a = np.zeros((n, n), dtype=dtype)
+    for j, band in section.bands.items():
+        # band j starts at (max(j, 0), max(-j, 0)) and steps n + 1 in the flat matrix
+        start = j * n if j >= 0 else -j
+        a.reshape(-1)[start : start + len(band) * (n + 1) : n + 1] = band if dtype is complex else band.real
+    return a
 
 
 def _bt_weights(N: int, L: int) -> np.ndarray:

@@ -104,6 +104,15 @@ class TestLTSum:
             ts.lt_sum([self._cand(3.0)], curve, epsilon=1e308)
         assert ts.lt_sum([self._cand(3.0)], curve, epsilon=100.0) == 1.3721439741813514e18
 
+    def test_overflowing_sum_of_finite_terms_raises_value_error(self):
+        # distance 1.5: one term 1.5 ** (3 + epsilon) is just below 1e308, two sum to inf
+        curve = ts.sample_curve(ts.from_parts([0, 1], [0, 0.5]))
+        eps = math.log(1e308) / math.log(1.5) - 3
+        assert ts.lt_sum([self._cand(3.0)], curve, epsilon=eps) == 9.999999999999928e307
+        msg = re.escape(f"the sum of 2 terms ** (3 + epsilon), epsilon = {eps}, overflows a double")
+        with pytest.raises(ValueError, match=msg):
+            ts.lt_sum([self._cand(3.0)] * 2, curve, epsilon=eps)
+
 
 class TestReportOptionsCheckedFirst:
     """A bad ReportOptions raises before detection eigensolves a rung."""

@@ -122,6 +122,21 @@ class TestRealArithmetic:
         ev = eigenvalues(ts.bt_section(s, N)).values
         assert np.array_equal(np.sort_complex(ev), np.sort_complex(ev.conj()))
 
+    @pytest.mark.parametrize("build", [ts.bt_section, ts.ht_section])
+    @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
+    def test_eigensolve_input_is_filled_from_the_bands(self, s, build):
+        """The LAPACK input holds the values of ``entries`` (their real parts for a
+        real section), so the eigenvalues are the same bits; no dense copy is cached."""
+        sec = build(s, 60)
+        got = eigenvalues(sec).values
+        assert "entries" not in vars(sec)
+        a = np.asarray(sec)
+        real = s in REAL_SYMBOLS
+        assert a.imag.any() != real
+        assert got.tobytes() == np.linalg.eigvals(a.real if real else a).astype(complex).tobytes()
+        if real:
+            assert np.array_equal(np.sort_complex(got), np.sort_complex(got.conj()))
+
     @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
     def test_every_eigenvalue_is_backward_stable(self, s):
         sec = ts.bt_section(s, 50)

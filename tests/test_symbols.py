@@ -250,6 +250,21 @@ class TestCurveQueries:
             assert max(pairs) <= budget
             assert sum(pairs) == n * n_segments == n * M  # each pair once
 
+    def test_queries_peak_below_the_block_limit(self):
+        """4096 points against M = 512: every block's temporaries stay below
+        glibc's 128 KiB mmap threshold (1.2 MiB peak at 2**14 pairs per block)."""
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 512)
+        z = np.linspace(-2, 2, 64)[:, None] + 1j * np.linspace(-1.5, 1.5, 64)
+        z = z.ravel()
+        for query in (c.distance_to, lambda z: ts.dist_to_spectrum(z, c)):
+            tracemalloc.start()
+            try:
+                query(z)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 640 * 2**10
+
     def test_ends_are_kept_once_and_read_only(self):
         c = ts.sample_curve(ts.HarmonicSymbol({2: 1, -1: 0.8}), 512)
         assert np.array_equal(c.ends, np.roll(c.points, -1))
