@@ -13,11 +13,9 @@ non-convergence, 64 usage/parse error, 74 I/O error.
 from __future__ import annotations
 
 import argparse
-import itertools
 import json
 import math
 import sys
-from collections.abc import Iterable
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 
@@ -205,28 +203,22 @@ def load_config(path: str) -> RunConfig:
     return parse_config(doc)
 
 
-def _write_text(path: Path, parts: Iterable[str]) -> None:
-    """Write the strings ``parts`` to ``path`` one after another, making its directory."""
+def _write_text(path: Path, text: str) -> None:
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.writelines(parts)
-
-
-# Rows per formatted chunk of a CSV, so that no string holds the whole file
-CSV_CHUNK_ROWS = 512
+        fh.write(text)
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """CSV of the equal-length float ``columns`` under ``header``, formatted
-    and written CSV_CHUNK_ROWS rows at a time; each row is one % over a %.17g
-    template, the digits that ``_fmt`` writes."""
+    """CSV of the equal-length float ``columns`` under ``header``, written a
+    row at a time so that no string holds the whole file; each row is one %
+    over a %.17g template, the digits that ``_fmt`` writes."""
     row = ",".join(["%.17g"] * len(columns)) + "\n"
-    columns = [np.asarray(c, dtype=float) for c in columns]
-    chunks = (
-        "".join([row % r for r in zip(*(c[i : i + CSV_CHUNK_ROWS].tolist() for c in columns))])
-        for i in range(0, len(columns[0]), CSV_CHUNK_ROWS)
-    )
-    _write_text(path, itertools.chain([header + "\n"], chunks))
+    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    path.parent.mkdir(parents=True, exist_ok=True)
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(header + "\n")
+        fh.writelines(row % r for r in zip(*lists))
 
 
 def cmd_hs_check(cfg: RunConfig) -> int:
@@ -286,7 +278,7 @@ def cmd_report(cfg: RunConfig) -> int:
         raise ConfigError("field 'ladder' needs at least 3 rungs for report")
     _checked_series_tol(cfg.symbol, cfg.report.series_tol)
     report = build_report(cfg.symbol, cfg.report)
-    _write_text(cfg.output_dir / "report.json", [report.to_json(), "\n"])
+    _write_text(cfg.output_dir / "report.json", report.to_json() + "\n")
     print(report.summary())
     print(f"wrote {cfg.output_dir / 'report.json'}")
     for n in report.skipped_rungs:

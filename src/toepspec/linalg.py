@@ -2,7 +2,7 @@
 
 Both functions take the matrix A as a ``FiniteSection``.  Its eigenvalues
 come from ``np.linalg.eigvals`` on a dense matrix filled from its bands for
-this call alone, real when no band has a nonzero imaginary part.
+that call alone, real (float64) when no band has a nonzero imaginary part.
 sigma_min(A - lam I) packs LAPACK band storage from its diagonals as stored
 (kl, ku its extreme offsets): ``xGBBRD`` reduces the band to a real
 bidiagonal B (diagonal d, superdiagonal e), and ``DSTEBZ`` bisects for one
@@ -71,9 +71,12 @@ def eigenvalues(section: FiniteSection) -> EigenResult:
     LAPACK non-convergence is reported through ``converged=False`` with no
     values, never an exception.
     """
-    dtype = complex if any(band.imag.any() for band in section.bands.values()) else float
+    bands = section.bands
+    if not any(band.imag.any() for band in bands.values()):
+        # _real_if_real's rule, read off the bands so that no complex matrix is built
+        bands = {j: band.real for j, band in bands.items()}
     try:
-        values = np.linalg.eigvals(_dense(section, dtype))
+        values = np.linalg.eigvals(_dense(section.order, bands))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
@@ -161,7 +164,7 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> flo
 
 def _dense_sigma_min(section: FiniteSection, lam: complex) -> float:
     """sigma_min(A - lam I) by ``np.linalg.svd``, in real arithmetic when it is real."""
-    b = section.entries.copy()
+    b = _dense(section.order, section.bands).astype(complex, copy=False)
     b.flat[:: section.order + 1] -= lam
     return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])
 

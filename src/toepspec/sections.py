@@ -42,7 +42,7 @@ class FiniteSection:
 
     @functools.cached_property
     def entries(self) -> np.ndarray:
-        a = _dense(self, complex)
+        a = _dense(self.order, self.bands).astype(complex, copy=False)
         a.setflags(write=False)
         return a
 
@@ -54,15 +54,14 @@ class FiniteSection:
         return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.bands.values()))
 
 
-def _dense(section: FiniteSection, dtype: type) -> np.ndarray:
-    """A new dense ``dtype`` (complex or float) matrix of ``section``, filled from
-    its bands; float keeps only their real parts."""
-    n = section.order
-    a = np.zeros((n, n), dtype=dtype)
-    for j, band in section.bands.items():
+def _dense(n: int, bands: dict[int, np.ndarray]) -> np.ndarray:
+    """A new writable n x n matrix holding ``bands``, laid out as in
+    ``FiniteSection``, in their common dtype (float64 at least)."""
+    a = np.zeros((n, n), dtype=np.result_type(float, *bands.values()))
+    for j, band in bands.items():
         # band j starts at (max(j, 0), max(-j, 0)) and steps n + 1 in the flat matrix
         start = j * n if j >= 0 else -j
-        a.reshape(-1)[start : start + len(band) * (n + 1) : n + 1] = band if dtype is complex else band.real
+        a.reshape(-1)[start : start + len(band) * (n + 1) : n + 1] = band
     return a
 
 

@@ -30,11 +30,10 @@ SELF_INTERSECT_RTOL = 1e-9
 # rounding error (a few ulps of the scale) of a computed segment distance.
 PAIR_SLACK = 1e-12
 # Pairs per block of the curve queries and per chunk of the self-distance
-# sweep: bounds their temporaries independently of the sample count.  At 2**12
-# the largest, a complex array over a block's pairs, is 64 KiB, below glibc's
-# default 128 KiB mmap threshold, so blocks reuse heap memory.  At 2**14 every
-# temporary was mapped, faulted in page by page and unmapped again: 4178 of the
-# ~4845 minor page faults of one report run on configs/mixed.json.
+# sweep: bounds their temporaries independently of the sample count.  The
+# largest, a complex array over a block's pairs, is then 64 KiB, below glibc's
+# default 128 KiB mmap threshold, so blocks reuse heap memory instead of
+# mapping, faulting in and unmapping every temporary.
 PAIR_BUDGET = 2**12
 # Coefficients below this modulus have a subnormal or zero square.
 _SQRT_TINY = math.sqrt(sys.float_info.min)

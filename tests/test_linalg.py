@@ -126,7 +126,7 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
     def test_eigensolve_input_is_filled_from_the_bands(self, s, build):
         """The LAPACK input holds the values of ``entries`` (their real parts for a
-        real section), so the eigenvalues are the same bits; no dense copy is cached."""
+        real section), so the eigenvalues are the same bits; ``entries`` is not built."""
         sec = build(s, 60)
         got = eigenvalues(sec).values
         assert "entries" not in vars(sec)
@@ -272,13 +272,16 @@ class TestBandPath:
 
     @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
     def test_dense_value_bit_for_bit(self, monkeypatch, s):
-        # the routines not found: every node is the dense fallback's gesdd value
+        # the routines not found: every node is the dense fallback's gesdd value,
+        # on a matrix of its own (the section's cached entries are not built)
         sec = ts.bt_section(s, 50)
-        a = sec.entries
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
-        for lam in _nodes(s, sec):
-            sv = np.linalg.svd(linalg._real_if_real(a - lam * np.eye(50)), compute_uv=False)
-            assert smallest_singular_value(sec, lam) == sv[-1]
+        nodes = _nodes(s, sec)
+        got = [smallest_singular_value(sec, lam) for lam in nodes]
+        assert "entries" not in vars(sec)
+        for lam, value in zip(nodes, got):
+            sv = np.linalg.svd(linalg._real_if_real(sec.entries - lam * np.eye(50)), compute_uv=False)
+            assert value == sv[-1]
 
     @pytest.mark.parametrize("z", [2.5, 2.6, 2.5 + 0.3j, 2.5 + 4.06e-7])
     def test_symbol_free_section(self, z):

@@ -252,7 +252,7 @@ class TestCurveQueries:
 
     def test_queries_peak_below_the_block_limit(self):
         """4096 points against M = 512: every block's temporaries stay below
-        glibc's 128 KiB mmap threshold (1.2 MiB peak at 2**14 pairs per block)."""
+        glibc's 128 KiB mmap threshold (a budget of 2**14 pairs peaks at 1.2 MiB)."""
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 512)
         z = np.linspace(-2, 2, 64)[:, None] + 1j * np.linspace(-1.5, 1.5, 64)
         z = z.ravel()
