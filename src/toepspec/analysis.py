@@ -32,6 +32,7 @@ from .spectra import (
     DEFAULT_LADDER,
     DetectOptions,
     DiscreteCandidate,
+    _checked_ladder,
     detect_discrete,
     points_at_distance,
     resolvent_growth_fit,
@@ -220,14 +221,13 @@ def _fit_p_hat(
 
 def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> SpectralReport:
     """Run Hilbert-Schmidt computations, detection, diagnostics, the eigenvalue
-    sum and the resolvent fit; deterministic end to end.  A bad epsilon,
+    sum and the resolvent fit; deterministic end to end.  A bad ladder, epsilon,
     series_tol or tolerance raises ValueError before the first eigensolve."""
-    ladder = tuple(int(n) for n in opts.ladder)
+    ladder = _checked_ladder(opts.ladder)
     n_max = ladder[-1]
     _check_epsilon(opts.epsilon)
     hs_trunc = hs_difference_sq_truncated(s, n_max)
     series = hs_difference_sq_series(s, opts.series_tol)
-    bound = hs_bound(s)
 
     detection = detect_discrete(s, ladder, opts.detect)
     curve = detection.curve
@@ -236,8 +236,7 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
     except DegenerateCurveError:
         diag = None
 
-    all_cands = detection.candidates + detection.uncertified
-    total = lt_sum(all_cands, curve, opts.epsilon)
+    total = lt_sum(detection.candidates + detection.uncertified, curve, opts.epsilon)
     certified_only = lt_sum(detection.candidates, curve, opts.epsilon)
     dn2 = s.derivative_norm_sq()
     empirical = (total / dn2) if dn2 > 0 else None
@@ -255,8 +254,7 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
         weyl = _near_fraction(s, detection.rung_eigenvalues[weyl_n], curve)
 
     second_deriv_sum = float(sum(j * j * abs(v) for j, v in s.coeffs.items()))
-    m_curve = len(curve)
-    dist_err = 2.0 * math.pi * second_deriv_sum / (m_curve * m_curve)
+    dist_err = 2.0 * math.pi * second_deriv_sum / (len(curve) * len(curve))
 
     return SpectralReport(
         symbol=dict(s.coeffs),
@@ -265,7 +263,7 @@ def build_report(s: HarmonicSymbol, opts: ReportOptions = ReportOptions()) -> Sp
         hs_truncated=hs_trunc,
         hs_series=series.value,
         hs_series_tail_bound=series.tail_bound,
-        hs_bound=bound,
+        hs_bound=hs_bound(s),
         candidates=detection.candidates,
         uncertified_candidates=detection.uncertified,
         skipped_rungs=tuple(sorted(skipped)),

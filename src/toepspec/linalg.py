@@ -1,10 +1,14 @@
 """Linear algebra through LAPACK as shipped with NumPy.
 
-Both functions take the matrix A as a ``FiniteSection``.  Its eigenvalues
-come from ``np.linalg.eigvals`` on a dense matrix filled from its bands for
-that call alone, real (float64) when no band has a nonzero imaginary part.
-sigma_min(A - lam I) packs LAPACK band storage from its diagonals as stored
-(kl, ku its extreme offsets): ``xGBBRD`` reduces the band to a real
+Both functions take the matrix A as a ``FiniteSection``, and one rule,
+``_shifted_bands``, builds every LAPACK input: the bands of A - lam I, lam
+subtracted once on the diagonal, real (float64) when no band has a nonzero
+imaginary part.  Real input runs the real routines (``dgeev``, ``dgbbrd``,
+``dgesdd``), so a real A has exact conjugate pairs of eigenvalues; any other
+runs the complex ones (``zgeev``, ``zgbbrd``, ``zgesdd``).  The eigenvalues
+come from ``np.linalg.eigvals`` on a dense matrix filled from the bands at
+lam = 0 for that call alone.  sigma_min(A - lam I) packs LAPACK band storage
+(kl, ku the extreme offsets): ``xGBBRD`` reduces the band to a real
 bidiagonal B (diagonal d, superdiagonal e), and ``DSTEBZ`` bisects for one
 eigenvalue of its Golub-Kahan tridiagonal, the 2N x 2N matrix with zero
 diagonal and off-diagonal (d1, e1, d2, ..., dN), whose eigenvalues are
@@ -23,11 +27,6 @@ Their value agrees with ``gesdd``'s within 1e-8 sigma + 4 eps ||A - lam I||_2
 neither is a measurement.  Only where the routines are not found (MKL or
 system-LAPACK builds, Windows) does sigma_min build the dense matrix: the
 value is then ``_dense_sigma_min``'s, dense ``np.linalg.svd`` of A - lam I.
-
-A matrix with no nonzero imaginary part (for ``smallest_singular_value``:
-A - lam I) runs in real arithmetic (``dgeev``, ``dgbbrd``, ``dgesdd``), so
-its eigenvalues come in exact conjugate pairs; any other runs the complex
-routines (``zgeev``, ``zgbbrd``, ``zgesdd``).
 """
 
 from __future__ import annotations
@@ -42,9 +41,11 @@ import numpy as np
 from .sections import FiniteSection, _dense
 
 
-def _real_if_real(b: np.ndarray) -> np.ndarray:
-    """``b.real`` when no entry of ``b`` has a nonzero imaginary part, else ``b``."""
-    return b if b.imag.any() else b.real
+def _shifted_bands(section: FiniteSection, lam: complex = 0j) -> dict[int, np.ndarray]:
+    """The bands of A - lam I, laid out as ``section.bands`` with offset 0 always
+    present, all real when none has a nonzero imaginary part, else as stored."""
+    bands = {**section.bands, 0: section.bands.get(0, np.zeros(section.order)) - lam}
+    return bands if any(band.imag.any() for band in bands.values()) else {j: band.real for j, band in bands.items()}
 
 
 @dataclass(frozen=True)
@@ -65,18 +66,13 @@ class EigenResult:
 
 def eigenvalues(section: FiniteSection) -> EigenResult:
     """All eigenvalues of the section via LAPACK (``np.linalg.eigvals``), on a
-    dense matrix filled from its bands (see the module docstring); the cached
-    ``section.entries`` are neither read nor built.
+    dense matrix filled from ``_shifted_bands`` at lam = 0.
 
     LAPACK non-convergence is reported through ``converged=False`` with no
     values, never an exception.
     """
-    bands = section.bands
-    if not any(band.imag.any() for band in bands.values()):
-        # _real_if_real's rule, read off the bands so that no complex matrix is built
-        bands = {j: band.real for j, band in bands.items()}
     try:
-        values = np.linalg.eigvals(_dense(section.order, bands))
+        values = np.linalg.eigvals(_dense(section.order, _shifted_bands(section)))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
@@ -119,19 +115,18 @@ def _ref(v: int):
 
 
 def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> float:
-    """sigma_min of A - lam I: ``xGBBRD`` on the band (kl, ku the extreme
-    offsets of ``section.bands``), then ``DSTEBZ`` on the Golub-Kahan
-    tridiagonal of the bidiagonal.  A nonzero INFO, or a count of eigenvalues
-    found other than one, raises LinAlgError."""
-    n = section.order
-    kl, ku = max([0, *section.bands]), max([0, *(-j for j in section.bands)])
+    """sigma_min of A - lam I: ``xGBBRD`` on ``_shifted_bands`` (kl, ku their
+    extreme offsets), then ``DSTEBZ`` on the Golub-Kahan tridiagonal of the
+    bidiagonal.  A nonzero INFO, or a count of eigenvalues found other than
+    one, raises LinAlgError."""
+    n, bands = section.order, _shifted_bands(section, lam)
+    kl, ku = max(bands), -min(bands)
     # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
-    ab = np.zeros((n, kl + ku + 1), dtype=complex)
-    for off, band in section.bands.items():
+    ab = np.zeros((n, kl + ku + 1), dtype=np.result_type(float, *bands.values()))
+    for off, band in bands.items():
         ab[max(0, -off) : n - max(0, off), ku + off] = band
-    ab[:, ku] -= lam
     p = math.frexp(np.abs(ab.view(float)).max())[1]  # no modulus, which could overflow
-    ab = np.ascontiguousarray(_real_if_real(np.ldexp(ab.view(float), -p).view(complex)))
+    ab = np.ldexp(ab.view(float), -p).view(ab.dtype)
     d, e, info = np.empty(n), np.zeros(n), ctypes.c_int64(0)
     dummy = np.zeros(1, dtype=ab.dtype)  # Q, PT and C, not referenced with VECT = 'N'
     work = [np.empty(2 * n)] if ab.dtype == float else [np.empty(n, dtype=complex), np.empty(n)]
@@ -163,10 +158,9 @@ def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> flo
 
 
 def _dense_sigma_min(section: FiniteSection, lam: complex) -> float:
-    """sigma_min(A - lam I) by ``np.linalg.svd``, in real arithmetic when it is real."""
-    b = _dense(section.order, section.bands).astype(complex, copy=False)
-    b.flat[:: section.order + 1] -= lam
-    return float(np.linalg.svd(_real_if_real(b), compute_uv=False)[-1])
+    """sigma_min(A - lam I) by ``np.linalg.svd`` on a dense matrix filled from
+    ``_shifted_bands``."""
+    return float(np.linalg.svd(_dense(section.order, _shifted_bands(section, lam)), compute_uv=False)[-1])
 
 
 def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:

@@ -10,7 +10,6 @@ tail whose error is bounded by convexity (trapezoid and midpoint rules).
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
@@ -27,8 +26,8 @@ class FiniteSection:
     vector of length N - |j| whose element k sits at
     (k + max(j, 0), k + max(-j, 0)); absent offsets are zero diagonals.  A band
     of another length or with a non-finite element raises ValueError.
-    ``entries`` is the dense matrix, built on first read and then cached;
-    ``np.asarray(section)`` gives it, ``np.array(section)`` a writable copy.
+    ``entries`` is the dense complex matrix, filled anew on every read, as is
+    ``np.asarray(section)``; the section caches nothing.
     """
 
     order: int
@@ -40,15 +39,12 @@ class FiniteSection:
                 raise ValueError(f"band {j} needs {self.order - abs(j)} finite elements")
             band.setflags(write=False)
 
-    @functools.cached_property
+    @property
     def entries(self) -> np.ndarray:
-        a = _dense(self.order, self.bands).astype(complex, copy=False)
-        a.setflags(write=False)
-        return a
+        return _dense(self.order, self.bands).astype(complex, copy=False)
 
     def __array__(self, dtype=None, copy=None) -> np.ndarray:
-        a = self.entries if dtype is None else self.entries.astype(dtype, copy=False)
-        return a.copy() if copy else a
+        return self.entries if dtype is None else self.entries.astype(dtype, copy=False)
 
     def frobenius_norm(self) -> float:
         return math.sqrt(sum(float(np.vdot(b, b).real) for b in self.bands.values()))

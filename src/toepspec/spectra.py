@@ -156,6 +156,14 @@ def _chain_ladder(
     return [(complex(z), float(d)) for z, d in zip(loc, drift)]
 
 
+def _checked_ladder(ladder: Sequence[int]) -> tuple[int, ...]:
+    """The ladder's orders as ints; ValueError unless at least 3, strictly increasing."""
+    ladder = tuple(int(n) for n in ladder)
+    if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
+        raise ValueError("ladder must be strictly increasing with length >= 3")
+    return ladder
+
+
 def detect_discrete(
     s: HarmonicSymbol,
     ladder: Sequence[int] = DEFAULT_LADDER,
@@ -171,9 +179,7 @@ def detect_discrete(
     ladder, or an explicit tolerance that is not a finite positive number,
     raises ValueError before the first eigensolve.
     """
-    ladder = [int(n) for n in ladder]
-    if len(ladder) < 3 or any(b <= a for a, b in zip(ladder, ladder[1:])):
-        raise ValueError("ladder must be strictly increasing with length >= 3")
+    ladder = _checked_ladder(ladder)
     for name in ("delta_curve", "drift_tol", "cert_tol"):
         v = getattr(opts, name)
         if v is not None and not 0 < v < math.inf:

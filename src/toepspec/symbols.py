@@ -24,7 +24,7 @@ ON_CURVE_RTOL = 1e-12
 # Relative cusp tolerance: a curve is cusp-free when the slowest tangent is
 # at least TAU_CUSP times the fastest one.
 TAU_CUSP = 1e-6
-# Relative tolerance for the segment-segment self-intersection test.
+# Self-intersection tolerance relative to the curve's extent (``SymbolCurve._touch_tol``).
 SELF_INTERSECT_RTOL = 1e-9
 # Relative slack of the self-distance sweep's pair pruning, far above the
 # rounding error (a few ulps of the scale) of a computed segment distance.
@@ -87,15 +87,13 @@ class HarmonicSymbol:
     def eval_boundary(self, theta: float | np.ndarray) -> complex | np.ndarray:
         """Boundary value sum_j b_j e^{ij theta} at one angle (gives a
         complex) or a 1-D array of angles (gives an array)."""
-        if not np.all(np.isfinite(theta)):
-            raise ValueError("theta must be finite")
         return _fourier_sum(self, theta)
 
     def eval_disk(self, z: complex) -> complex:
         """Harmonic extension at |z| < 1: sum_j b_j r^{|j|} e^{ij theta}."""
         z = complex(z)
         r = abs(z)
-        if r >= 1.0:
+        if not r < 1.0:  # a NaN modulus too
             raise ValueError(f"eval_disk requires |z| < 1, got |z| = {r}")
         theta = cmath.phase(z) if r > 0 else 0.0
         return _fourier_sum(self, theta, lambda j: r ** abs(j))
@@ -132,11 +130,13 @@ def from_parts(f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]) -> Harm
 
 def _fourier_sum(s: HarmonicSymbol, theta, weight=None) -> complex | np.ndarray:
     """sum_j w(j) b_j e^{ij theta}, j increasing (w = 1 when ``weight`` is None),
-    at one angle (gives a complex) or an array of angles (gives an array).
+    at one finite angle (gives a complex) or an array of them (gives an array); else ValueError.
     Each term is multiplied out in real arithmetic, as CPython multiplies
     complex numbers (numpy's complex multiply may fuse multiply-adds), so it
     rounds as a scalar ``cmath`` sum wherever np.cos and np.sin round as libm."""
     t = np.atleast_1d(np.asarray(theta, dtype=float))
+    if not np.isfinite(t).all():
+        raise ValueError("theta must be finite")
     re = im = np.zeros(t.shape)
     for j in sorted(s.coeffs):
         w = s.coeffs[j] if weight is None else weight(j) * s.coeffs[j]
@@ -179,7 +179,7 @@ class SymbolCurve:
     def _contacts(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(k, l, X) of the crossing loops of ``_loop_windings``, built on first read."""
         a, b = self.points, self.ends
-        tol = SELF_INTERSECT_RTOL * self.scale()
+        tol = self._touch_tol()
         found = []
         for k, l in _near_pairs(a, b, tol):
             e, f = b[k] - a[k], b[l] - a[l]
@@ -195,6 +195,12 @@ class SymbolCurve:
         """Characteristic length used by relative tolerances."""
         s = float(np.max(np.abs(self.points))) if len(self.points) else 0.0
         return s if s > 0 else 1.0
+
+    def _touch_tol(self) -> float:
+        """How near two segments touch: SELF_INTERSECT_RTOL times the curve's extent, which a
+        translation keeps, plus 4 eps max |p|, the points' rounding, which grows with |p|."""
+        p = self.points
+        return float(SELF_INTERSECT_RTOL * max(np.ptp(p.real), np.ptp(p.imag)) + 4.0 * sys.float_info.epsilon * np.abs(p).max())
 
     def distance_to(self, lam: complex | np.ndarray) -> float | np.ndarray:
         """Distance from ``lam``, one finite point (gives a float) or a 1-D array of
@@ -341,7 +347,7 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
 
     cusp_free: min |tangent| > TAU_CUSP * max |tangent|.
     jordan: no two non-adjacent polyline segments come within
-    SELF_INTERSECT_RTOL * scale of each other.  Raises DegenerateCurveError
+    ``SymbolCurve._touch_tol`` of each other.  Raises DegenerateCurveError
     when all points coincide or there are fewer than 4 (no non-adjacent pair).
 
     U = min_k dist(segment k, segment k + 2) bounds the minimum; only the pairs of
@@ -358,10 +364,9 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
     min_speed = float(np.min(speeds))
     max_speed = float(np.max(speeds))
     cusp_free = min_speed > TAU_CUSP * max_speed
-    scale = c.scale()
-    min_self = _min_self_distance(p, c.ends, scale)
+    min_self = _min_self_distance(p, c.ends, c.scale())
     return CurveDiagnostics(
-        jordan=min_self > SELF_INTERSECT_RTOL * scale,
+        jordan=min_self > c._touch_tol(),
         cusp_free=cusp_free,
         min_tangent_speed=min_speed,
         min_self_distance=min_self,
@@ -419,7 +424,7 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float):
 def _loop_windings(c: SymbolCurve, lam: complex) -> np.ndarray:
     """Windings, as floats, of the polyline's crossing loops around ``lam`` (off the
     polyline), then of the whole curve.  Each contact, a pair k < l of ``_near_pairs``
-    within SELF_INTERSECT_RTOL * scale (as makes ``jordan`` False), loops from X, where
+    within ``SymbolCurve._touch_tol`` (as makes ``jordan`` False), loops from X, where
     their lines cross (clipped to segment k), along segments k + 1 .. l - 1 back to X.
     With contacts as crossings the loops span the curve's cycles: all are 0 exactly when
     ``lam`` is in the unbounded component, as outside the curve's box, where none is computed.

@@ -132,6 +132,14 @@ class TestReportOptionsCheckedFirst:
             ts.build_report(self.S, ts.ReportOptions(ladder=(16, 24, 32), epsilon=bad))
         assert solves == []
 
+    @pytest.mark.parametrize("ladder", [(), (7,), (5, 10), (10, 5, 20)])
+    def test_bad_ladder(self, solves, monkeypatch, ladder):
+        series = []
+        monkeypatch.setattr(analysis, "hs_difference_sq_series", lambda *args: series.append(args))
+        with pytest.raises(ValueError, match="ladder must be strictly increasing"):
+            ts.build_report(self.S, ts.ReportOptions(ladder=ladder))
+        assert solves == [] and series == []
+
     def test_series_tol_below_floor(self, solves):
         assert 1e-30 < series_tol_floor(self.S)
         with pytest.raises(ValueError, match="tol must be positive and >= 4 eps"):

@@ -126,10 +126,10 @@ class TestRealArithmetic:
     @pytest.mark.parametrize("s", REAL_SYMBOLS + COMPLEX_SYMBOLS)
     def test_eigensolve_input_is_filled_from_the_bands(self, s, build):
         """The LAPACK input holds the values of ``entries`` (their real parts for a
-        real section), so the eigenvalues are the same bits; ``entries`` is not built."""
+        real section), so the eigenvalues are the same bits; nothing is cached."""
         sec = build(s, 60)
         got = eigenvalues(sec).values
-        assert "entries" not in vars(sec)
+        assert set(vars(sec)) == {"order", "bands"}
         a = np.asarray(sec)
         real = s in REAL_SYMBOLS
         assert a.imag.any() != real
@@ -169,15 +169,17 @@ class TestRealArithmetic:
         seen.clear()
         # an exact eigenvalue: the band path still, with no dense SVD
         exact = [(as_section(np.diag([1.0, 2.0, 3.0])), 2.0), (as_section(np.diag([1.0, 2.0 + 1j, 3.0])), 2.0 + 1j)]
-        for sec, lam in exact:
+        # A - lam I real only after the shift: b_0 = i at lam = i
+        shifted = (ts.bt_section(ts.from_parts([1j, 1], [0, 0.5]), 20), 1j)
+        for sec, lam in (*exact, shifted):
             smallest_singular_value(sec, lam)
-        assert seen == ["dgbbrd", "dstebz", "zgbbrd", "dstebz"]
+        assert seen == ["dgbbrd", "dstebz", "zgbbrd", "dstebz", "dgbbrd", "dstebz"]
         seen.clear()
         # the routines not found: the dense fallback, in the same arithmetic
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
-        for sec, lam in exact:
+        for sec, lam in (*exact, shifted):
             smallest_singular_value(sec, lam)
-        assert seen == [("svd", np.float64), ("svd", np.complex128)]
+        assert seen == [("svd", np.float64), ("svd", np.complex128), ("svd", np.float64)]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):
@@ -273,15 +275,16 @@ class TestBandPath:
     @pytest.mark.parametrize("s", GATE_SYMBOLS[1:3], ids=["real", "complex"])
     def test_dense_value_bit_for_bit(self, monkeypatch, s):
         # the routines not found: every node is the dense fallback's gesdd value,
-        # on a matrix of its own (the section's cached entries are not built)
+        # in real arithmetic where A - lam I is real, and nothing is cached
         sec = ts.bt_section(s, 50)
         monkeypatch.setattr(linalg, "_lapack", lambda: None)
         nodes = _nodes(s, sec)
         got = [smallest_singular_value(sec, lam) for lam in nodes]
-        assert "entries" not in vars(sec)
         for lam, value in zip(nodes, got):
-            sv = np.linalg.svd(linalg._real_if_real(sec.entries - lam * np.eye(50)), compute_uv=False)
+            b = np.asarray(sec) - lam * np.eye(50)
+            sv = np.linalg.svd(b if b.imag.any() else b.real, compute_uv=False)
             assert value == sv[-1]
+        assert set(vars(sec)) == {"order", "bands"}
 
     @pytest.mark.parametrize("z", [2.5, 2.6, 2.5 + 0.3j, 2.5 + 4.06e-7])
     def test_symbol_free_section(self, z):

@@ -108,8 +108,8 @@ class TestSectionBands:
                     assert band.shape == (N - abs(j),)
                     assert not band.flags.writeable
                 assert set(sec.bands) == {j for j in s.coeffs if abs(j) < N}
-                assert not sec.entries.flags.writeable
-                assert sec.entries is sec.entries
+                assert sec.entries.flags.writeable and sec.entries is not sec.entries
+                assert set(vars(sec)) == {"order", "bands"}
 
     @pytest.mark.parametrize("kind,build", SECTION_BUILDERS)
     def test_frobenius_norm_from_bands(self, kind, build):
@@ -117,7 +117,7 @@ class TestSectionBands:
             for N in (1, 7, 200):
                 sec = build(s, N)
                 norm = sec.frobenius_norm()
-                assert "entries" not in sec.__dict__
+                assert set(vars(sec)) == {"order", "bands"}
                 want = np.linalg.norm(sec.entries)
                 assert norm == pytest.approx(want, rel=1e-14, abs=0)
 
@@ -132,14 +132,18 @@ class TestSectionBands:
         with pytest.raises(ValueError, match="band -1 needs 3"):
             ts.FiniteSection(order=4, bands={-1: np.ones(4)})
 
-    def test_array_is_entries(self):
+    @pytest.mark.parametrize("read", [lambda sec: sec.entries, np.asarray, np.array], ids=["entries", "asarray", "array"])
+    def test_array_is_entries(self, read):
+        # every read fills a new writable complex matrix; writing to it leaves the bands alone
         sec = ts.bt_section(BAND_SYMBOLS[1], 9)
-        assert np.asarray(sec) is sec.entries
-        assert np.array_equal(np.asarray(sec, dtype=complex), sec.entries)
-        copy = np.array(sec)
-        assert copy.flags.writeable and np.array_equal(copy, sec.entries)
-        copy[0, 0] = 7.0
-        assert sec.entries[0, 0] == BAND_SYMBOLS[1][0]
+        bands = {j: band.copy() for j, band in sec.bands.items()}
+        a = read(sec)
+        assert a.dtype == complex and a.flags.writeable and a is not read(sec)
+        assert np.array_equal(a, sec.entries) and np.array_equal(np.asarray(sec, dtype=complex), a)
+        a[2, 0] = a[0, 1] = 7.0  # on bands 2 and -1
+        assert sec.bands.keys() == bands.keys() and all(np.array_equal(sec.bands[j], b) for j, b in bands.items())
+        assert read(sec)[2, 0] == sec.bands[2][0]
+        assert set(vars(sec)) == {"order", "bands"}
 
 
 class TestHSDifference:

@@ -158,10 +158,13 @@ class TestDetectDiscrete:
 
 
 class TestClassify:
-    def test_interior_of_circle_is_winding_region(self):
-        curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
-        comp = ts.classify(0.0, curve, delta_curve=0.05)
+    # radius 1e-10 about 1: far below SELF_INTERSECT_RTOL * max |p|, yet no segment pair touches
+    @pytest.mark.parametrize("coeffs, M, lam, delta", [({1: 1}, 256, 0.0, 0.05), ({0: 1, 1: 1e-10}, 4096, 1.0, 1e-11)])
+    def test_interior_of_circle_is_winding_region(self, coeffs, M, lam, delta):
+        curve = ts.sample_curve(ts.HarmonicSymbol(coeffs), M)
+        comp = ts.classify(lam, curve, delta_curve=delta)
         assert comp is ts.Component.BOUNDED_HOLE
+        assert len(curve._contacts[0]) == 0
 
     def test_point_near_curve(self):
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256)
@@ -256,8 +259,8 @@ class TestResolventFit:
             ts.resolvent_growth_fit(s, [2.0, 3.0], N=50)
 
     def test_sigma_min_never_builds_the_dense_matrix(self, monkeypatch):
-        # the fit's 16 calls and an 8 x 6 grid read the bands; only a dense
-        # LAPACK call (none here) would build ``entries``
+        # the fit's 16 calls and an 8 x 6 grid read the bands, and the
+        # sections cache nothing
         sections = []
 
         def ht_section(s, N):
@@ -273,7 +276,7 @@ class TestResolventFit:
         ts.pseudospectrum(grid, ts.Rect(-2, 2, -1.5, 1.5), nx=8, ny=6)
         assert len(sections) == 1
         for sec in (*sections, grid):
-            assert "entries" not in sec.__dict__
+            assert set(vars(sec)) == {"order", "bands"}
 
     def test_points_at_distance_accuracy(self):
         curve = ts.sample_curve(ts.HarmonicSymbol({1: 1}), 512)

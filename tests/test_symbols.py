@@ -86,6 +86,11 @@ class TestEvalDisk:
         with pytest.raises(ValueError):
             ts.HarmonicSymbol({1: 1}).eval_disk(1.0)
 
+    @pytest.mark.parametrize("z", [math.nan, complex(0, math.nan)])
+    def test_nan_rejected(self, z):
+        with pytest.raises(ValueError, match="requires"):
+            ts.HarmonicSymbol({1: 1}).eval_disk(z)
+
 
 class TestNorms:
     def test_derivative_norm_constant(self):
@@ -165,6 +170,11 @@ class TestArrayEvaluation:
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError):
                 s.eval_boundary(np.array([0.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("theta", [math.nan, np.array([0.0, math.inf])], ids=["nan", "array-inf"])
+    def test_nonfinite_tangent_angle_rejected(self, theta):
+        with pytest.raises(ValueError, match="theta must be finite"):
+            ts.HarmonicSymbol({1: 1, -1: 0.5}).boundary_tangent(theta)
 
 
 class TestWindingNumber:
@@ -298,9 +308,13 @@ class TestCurveQueries:
 
 
 class TestCurveDiagnostics:
-    def test_circle(self):
-        d = ts.curve_diagnostics(ts.sample_curve(ts.HarmonicSymbol({1: 1}), 256))
-        assert d.jordan and d.cusp_free
+    @pytest.mark.parametrize("centre", [0, 1e6, 1e8, 1e9])
+    def test_circle(self, centre):
+        # the touch tolerance follows the curve's extent, not its distance from 0
+        c = ts.sample_curve(ts.HarmonicSymbol({0: centre, 1: 1}), 256)
+        d = ts.curve_diagnostics(c)
+        assert d.jordan is True and d.cusp_free
+        assert len(c._contacts[0]) == 0
 
     def test_flat_segment_cusps(self):
         d = ts.curve_diagnostics(ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 1}), 256))
@@ -309,6 +323,12 @@ class TestCurveDiagnostics:
     def test_double_circle_not_jordan(self):
         d = ts.curve_diagnostics(ts.sample_curve(ts.HarmonicSymbol({2: 1}), 256))
         assert not d.jordan
+
+    @pytest.mark.parametrize("centre", [0, 1e8])
+    def test_crossing_curve_keeps_its_contacts_when_translated(self, centre):
+        c = ts.sample_curve(ts.HarmonicSymbol({0: centre, 2: 1, -1: 0.8}), 256)
+        assert ts.curve_diagnostics(c).jordan is False
+        assert len(c._contacts[0]) == 3
 
     def test_degenerate_rejected(self):
         with pytest.raises(ts.DegenerateCurveError):
@@ -439,7 +459,7 @@ class TestLoopWindings:
         # end pieces, X -> b[k] and a[l] -> X, decide the winding
         c = ts.sample_curve(ts.HarmonicSymbol(coeffs), 256)
         a, b, M = c.points, c.ends, len(c)
-        tol = ts.symbols.SELF_INTERSECT_RTOL * c.scale()
+        tol = c._touch_tol()
         contacts = [
             (k, l)
             for k in range(M - 2)
