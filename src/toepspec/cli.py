@@ -1,6 +1,8 @@
 """Command-line front end.
 
-One subcommand per ``cmd_*`` handler, listed in ``build_parser``.  One JSON
+One subcommand per ``cmd_*`` handler, listed in ``build_parser``; ``main``
+looks the handler up by name, ``cmd_<subcommand>``, on this module at each
+call, so a function bound over it after import is the one that runs.  One JSON
 config document describes the experiment.  Outputs are CSV artifacts with
 17-significant-digit floats and ``report.json``, whose floats are Python's
 shortest round-trip ``repr``; both parse back to the same double, so
@@ -13,6 +15,7 @@ non-convergence, 64 usage/parse error, 74 I/O error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import sys
@@ -61,6 +64,9 @@ def _fmt(x: float) -> str:
 # value exits 64 here instead of failing inside numpy.
 MAX_ORDER = 2**15  # ladder rungs, section_order, grid nx and ny
 MAX_SAMPLES = 2**20  # curve_samples
+# Rows per block of ``_write_csv``: five columns of at most 24 characters
+# keep a block's text at most 32 KB, below glibc's 128 KiB mmap threshold.
+CSV_BLOCK_ROWS = 256
 
 
 @dataclass
@@ -210,15 +216,18 @@ def _write_text(path: Path, text: str) -> None:
 
 
 def _write_csv(path: Path, header: str, columns) -> None:
-    """CSV of the equal-length float ``columns`` under ``header``, written a
-    row at a time so that no string holds the whole file; each row is one %
-    over a %.17g template, the digits that ``_fmt`` writes."""
-    row = ",".join(["%.17g"] * len(columns)) + "\n"
-    lists = [np.asarray(c, dtype=float).tolist() for c in columns]
+    """CSV of the float ``columns`` under ``header``; columns of unequal
+    length raise ValueError.  It is written CSV_BLOCK_ROWS rows at a time, so
+    that no string holds the whole file, each block one % over the %.17g row
+    template repeated, the digits that ``_fmt`` writes."""
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(header + "\n")
-        fh.writelines(row % r for r in zip(*lists))
+        for i in range(0, len(table), CSV_BLOCK_ROWS):
+            block = table[i : i + CSV_BLOCK_ROWS]
+            fh.write((row * len(block)) % tuple(block.ravel().tolist()))
 
 
 def cmd_hs_check(cfg: RunConfig) -> int:
@@ -303,29 +312,29 @@ def cmd_curve(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
-    """The parser, from one table of (name, handler, help, switches) rows;
-    each subcommand's ``func`` default is its handler as bound at this call."""
+    """The parser, from one table of (name, help, switches) rows, built once
+    per process: its help strings cost a gettext lookup each.  It holds no
+    handler; ``main`` dispatches subcommand s to ``cmd_s`` by name."""
     parser = argparse.ArgumentParser(
         prog="toepspec",
         description="Finite-section spectral analysis of Toeplitz operators "
         "with harmonic symbols.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, func, help_text, switches in (
-        ("hs-check", cmd_hs_check, "check the Hilbert-Schmidt difference bound", {}),
-        ("spectrum", cmd_spectrum, "write finite-section eigenvalues per ladder rung", {}),
+    for name, help_text, switches in (
+        ("hs-check", "check the Hilbert-Schmidt difference bound", {}),
+        ("spectrum", "write finite-section eigenvalues per ladder rung", {}),
         (
             "pseudospectrum",
-            cmd_pseudospectrum,
             "write a sigma_min grid over a region",
             {"--svd-check": "compare sigma_min at three nodes with a dense LAPACK SVD"},
         ),
-        ("report", cmd_report, "run the full pipeline and write report.json", {}),
-        ("curve", cmd_curve, "sample the symbol curve and print diagnostics", {}),
+        ("report", "run the full pipeline and write report.json", {}),
+        ("curve", "sample the symbol curve and print diagnostics", {}),
     ):
         p = sub.add_parser(name, help=help_text)
-        p.set_defaults(func=func)
         p.add_argument("--config", required=True, help="path to JSON config")
         p.add_argument("--out", default=None, help="output directory override")
         for flag, flag_help in switches.items():
@@ -339,7 +348,8 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:
         return EXIT_USAGE if exc.code else EXIT_OK
     # what is left after these are the subcommand's switches, as keywords
-    func, config, out, _ = map(args.pop, ("func", "config", "out", "command"))
+    command, config, out = map(args.pop, ("command", "config", "out"))
+    func = globals()["cmd_" + command.replace("-", "_")]
     try:
         cfg = load_config(config)
         if out is not None:

@@ -91,15 +91,17 @@ def bt_section(s: HarmonicSymbol, N: int) -> FiniteSection:
 
 def hs_difference_sq_truncated(s: HarmonicSymbol, N: int) -> float:
     """Frobenius sum sum_{0<=i,j<N} |tau_{i,j} - b_{i-j}|^2, one diagonal per
-    coefficient: offset j carries the weights ``_bt_weights(N, |j|)``.
+    coefficient: offset j carries the weights ``_bt_weights(N, |j|)``, so
+    offsets j and -j share sum (1 - w)^2, which is summed once.
     """
     N = int(N)
     if N < 1:
         raise ValueError(f"section order must be >= 1, got {N}")
+    gaps = {L: float(np.sum((1.0 - _bt_weights(N, L)) ** 2)) for L in {abs(j) for j in s.coeffs} if 0 < L < N}
     total = 0.0
     for j, v in s.coeffs.items():
-        if 0 < abs(j) < N:
-            total += abs(v) * abs(v) * float(np.sum((1.0 - _bt_weights(N, abs(j))) ** 2))
+        if abs(j) in gaps:
+            total += abs(v) * abs(v) * gaps[abs(j)]
     return total
 
 

@@ -4,8 +4,9 @@ A symbol is stored through its Fourier coefficients b_j, j in [-m, n]:
 b_j = f_j for j >= 1, b_{-j} = conj(g_j) for j >= 1, and b_0 = f_0 + conj(g_0).
 phi, dphi/dtheta and the harmonic extension are one sum, sum_j w(j) b_j
 e^{ij theta}, taken over an array of angles at once.  The module also provides
-the sampled boundary curve gamma = phi(T) together with winding numbers and
-geometric (Jordan / cusp) diagnostics.
+the sampled boundary curve gamma = phi(T), whose points and tangents come from
+one such pass, together with winding numbers and geometric (Jordan / cusp)
+diagnostics.
 """
 
 from __future__ import annotations
@@ -87,7 +88,7 @@ class HarmonicSymbol:
     def eval_boundary(self, theta: float | np.ndarray) -> complex | np.ndarray:
         """Boundary value sum_j b_j e^{ij theta} at one angle (gives a
         complex) or a 1-D array of angles (gives an array)."""
-        return _fourier_sum(self, theta)
+        return _fourier_sums(self, theta)[0]
 
     def eval_disk(self, z: complex) -> complex:
         """Harmonic extension at |z| < 1: sum_j b_j r^{|j|} e^{ij theta}."""
@@ -96,12 +97,12 @@ class HarmonicSymbol:
         if not r < 1.0:  # a NaN modulus too
             raise ValueError(f"eval_disk requires |z| < 1, got |z| = {r}")
         theta = cmath.phase(z) if r > 0 else 0.0
-        return _fourier_sum(self, theta, lambda j: r ** abs(j))
+        return _fourier_sums(self, theta, (lambda j: r ** abs(j),))[0]
 
     def boundary_tangent(self, theta: float | np.ndarray) -> complex | np.ndarray:
         """d phi / d theta = sum_j (ij) b_j e^{ij theta}; ``theta`` as in
         ``eval_boundary``."""
-        return _fourier_sum(self, theta, lambda j: 1j * j)
+        return _fourier_sums(self, theta, (_tangent_weight,))[0]
 
     def derivative_norm_sq(self) -> float:
         """||phi'||_2^2 = sum_l l^2 |b_l|^2 (probability Haar measure)."""
@@ -128,23 +129,34 @@ def from_parts(f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]) -> Harm
     return HarmonicSymbol(coeffs)
 
 
-def _fourier_sum(s: HarmonicSymbol, theta, weight=None) -> complex | np.ndarray:
-    """sum_j w(j) b_j e^{ij theta}, j increasing (w = 1 when ``weight`` is None),
-    at one finite angle (gives a complex) or an array of them (gives an array); else ValueError.
+def _tangent_weight(j: int) -> complex:
+    """Weight ij of b_j in d phi / d theta."""
+    return 1j * j
+
+
+def _fourier_sums(s: HarmonicSymbol, theta, weights=(None,)) -> tuple:
+    """sum_j w(j) b_j e^{ij theta}, j increasing, for each w in ``weights`` (w = 1
+    for None), all from one cos(j theta), sin(j theta) per j; at one finite angle
+    (each sum a complex) or an array of them (each an array); else ValueError.
     Each term is multiplied out in real arithmetic, as CPython multiplies
     complex numbers (numpy's complex multiply may fuse multiply-adds), so it
     rounds as a scalar ``cmath`` sum wherever np.cos and np.sin round as libm."""
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.isfinite(t).all():
         raise ValueError("theta must be finite")
-    re = im = np.zeros(t.shape)
+    sums = [(np.zeros(t.shape), np.zeros(t.shape)) for _ in weights]
     for j in sorted(s.coeffs):
-        w = s.coeffs[j] if weight is None else weight(j) * s.coeffs[j]
         cos, sin = np.cos(j * t), np.sin(j * t)
-        re, im = re + (w.real * cos - w.imag * sin), im + (w.real * sin + w.imag * cos)
-    out = re.astype(complex)
-    out.imag = im
-    return complex(out[0]) if np.ndim(theta) == 0 else out
+        for i, weight in enumerate(weights):
+            w = s.coeffs[j] if weight is None else weight(j) * s.coeffs[j]
+            re, im = sums[i]
+            sums[i] = re + (w.real * cos - w.imag * sin), im + (w.real * sin + w.imag * cos)
+    outs = []
+    for re, im in sums:
+        out = re.astype(complex)
+        out.imag = im
+        outs.append(complex(out[0]) if np.ndim(theta) == 0 else out)
+    return tuple(outs)
 
 
 def _angles(M: int) -> np.ndarray:
@@ -306,8 +318,8 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     M = max(256, min_m) if M is None else int(M)
     if M < min_m:
         raise ValueError(f"M = {M} too small; need M >= {min_m}")
-    thetas = _angles(M)
-    return SymbolCurve(points=s.eval_boundary(thetas), tangents=s.boundary_tangent(thetas))
+    points, tangents = _fourier_sums(s, _angles(M), (None, _tangent_weight))
+    return SymbolCurve(points=points, tangents=tangents)
 
 
 def _on_curve(c: SymbolCurve, d):
@@ -352,7 +364,8 @@ def curve_diagnostics(c: SymbolCurve) -> CurveDiagnostics:
 
     U = min_k dist(segment k, segment k + 2) bounds the minimum; only the pairs of
     ``_near_pairs`` at reach U + PAIR_SLACK * scale can be nearer, as computed too,
-    and they are evaluated as in a full search, so the result is the same double.
+    and they are evaluated as in a full search, up to the first crossing (a 0),
+    so the result is the same double.
     """
     p = c.points
     M = len(p)
@@ -387,6 +400,8 @@ def _min_self_distance(a: np.ndarray, b: np.ndarray, scale: float) -> float:
         return best
     for k, l in _near_pairs(a, b, best + PAIR_SLACK * scale):
         best = min(best, float(np.min(_segment_distances(a[k], b[k], a[l], b[l]), initial=math.inf)))
+        if best == 0:  # a crossing: no later pair is nearer
+            break
     return best
 
 

@@ -483,8 +483,46 @@ class TestCurve:
         assert "jordan: True" in out and "cusp_free: True" in out
 
 
+class TestCachedParser:
+    """One parser serves every ``main`` call in a process, as in a benchmark child."""
+
+    def curve_config(self, tmp_path):
+        return write_config(tmp_path, dict(BASE, curve_samples=128, output_dir=str(tmp_path)))
+
+    def test_built_once(self):
+        assert cli.build_parser() is cli.build_parser()
+
+    def test_handler_bound_after_a_first_call_runs(self, tmp_path, monkeypatch):
+        path = self.curve_config(tmp_path)
+        assert cli.main(["curve", "--config", path]) == cli.EXIT_OK
+        calls = []
+        monkeypatch.setattr(cli, "cmd_curve", lambda cfg, **kw: calls.append(kw) or cli.EXIT_BOUND_VIOLATION)
+        assert cli.main(["curve", "--config", path]) == cli.EXIT_BOUND_VIOLATION
+        assert calls == [{}]
+
+    def test_switch_does_not_carry_over_to_the_next_call(self, tmp_path, monkeypatch):
+        doc = dict(
+            BASE,
+            region={"re_min": -2, "re_max": 2, "im_min": -1, "im_max": 1},
+            grid={"nx": 2, "ny": 2},
+            section_order=8,
+            output_dir=str(tmp_path),
+        )
+        assert cli.main(["pseudospectrum", "--config", write_config(tmp_path, doc), "--svd-check"]) == cli.EXIT_OK
+        calls = []
+        curve = cli.cmd_curve
+        monkeypatch.setattr(cli, "cmd_curve", lambda cfg, **kw: calls.append(kw) or curve(cfg, **kw))
+        assert cli.main(["curve", "--config", self.curve_config(tmp_path)]) == cli.EXIT_OK
+        assert calls == [{}]
+
+    def test_usage_error_then_valid_call(self, tmp_path):
+        assert cli.main(["curve"]) == cli.EXIT_USAGE
+        assert cli.main(["curve", "--config", self.curve_config(tmp_path)]) == cli.EXIT_OK
+
+
 class TestCsv:
     VALUES = [0.0, -0.0, 5e-324, 1 / 3, 2.5e300, -2.5e300]
+    B = cli.CSV_BLOCK_ROWS
 
     @pytest.mark.parametrize("x", VALUES)
     def test_percent_format_matches_fmt(self, x):
@@ -499,6 +537,19 @@ class TestCsv:
     def test_write_csv_with_no_rows_is_the_header(self, tmp_path):
         cli._write_csv(tmp_path / "sub" / "t.csv", "u,v", ([], []))
         assert (tmp_path / "sub" / "t.csv").read_bytes() == b"u,v\n"
+
+    @pytest.mark.parametrize("rows", [0, 1, B - 1, B, B + 1, 2 * B + 1])
+    def test_blocks_match_row_by_row(self, tmp_path, rows):
+        values = self.VALUES + [math.inf, -math.inf, math.nan]
+        columns = [[values[(r + shift) % len(values)] for r in range(rows)] for shift in range(3)]
+        cli._write_csv(tmp_path / "t.csv", "u,v,w", columns)
+        lines = ["u,v,w"] + [",".join(cli._fmt(x) for x in row) for row in zip(*columns)]
+        assert (tmp_path / "t.csv").read_bytes() == ("\n".join(lines) + "\n").encode()
+
+    @pytest.mark.parametrize("lengths", [(3, 2), (2, 3), (0, 1)])
+    def test_unequal_columns_rejected(self, tmp_path, lengths):
+        with pytest.raises(ValueError):
+            cli._write_csv(tmp_path / "t.csv", "u,v", [[1.0] * n for n in lengths])
 
 
 class TestReport:

@@ -18,7 +18,7 @@ from oracles import (
     random_symbol,
 )
 from toepspec.cli import load_config
-from toepspec.sections import _inner_tail_integral, series_tol_floor
+from toepspec.sections import _bt_weights, _inner_tail_integral, series_tol_floor
 
 PI_SQ_24 = math.pi ** 2 / 24
 
@@ -163,6 +163,16 @@ class TestHSDifference:
         assert ts.hs_difference_sq_truncated(s, n) == pytest.approx(
             np.linalg.norm(gap, "fro") ** 2, rel=1e-13
         )
+
+    def test_truncated_equals_per_coefficient_sum_exactly(self):
+        # b_j and b_-j share their weights at |j| = 1 and 3, summed once per |j|
+        s = ts.HarmonicSymbol({-3: 0.2 - 0.1j, -1: 0.4j, 0: 1, 1: 0.9, 2: 0.3 + 0.3j, 3: -0.25})
+        for n in (1, 2, 3, 4, 40):
+            want = 0.0
+            for j, v in s.coeffs.items():
+                if 0 < abs(j) < n:
+                    want += abs(v) * abs(v) * float(np.sum((1.0 - _bt_weights(n, abs(j))) ** 2))
+            assert ts.hs_difference_sq_truncated(s, n) == want, n
 
     def test_series_vs_brute_force(self):
         s = ts.HarmonicSymbol({1: 1, -2: 0.5})

@@ -130,6 +130,15 @@ class TestSampleCurve:
         for k in (0, 1, 17, 127):
             assert c.points[k] == s.eval_boundary(2 * math.pi * k / 128)
 
+    def test_points_and_tangents_match_scalar_evaluators_exactly(self):
+        # one pass gives points and tangents; each still rounds as its own evaluator
+        s = ts.HarmonicSymbol({-2: 0.4 - 0.2j, -1: 0.7 + 0.3j, 0: 0.1j, 1: -0.5 + 0.6j, 2: 0.3 + 1j})
+        c = ts.sample_curve(s, 128)
+        for k in range(128):
+            theta = 2 * math.pi * k / 128
+            assert c.points[k] == s.eval_boundary(theta)
+            assert c.tangents[k] == s.boundary_tangent(theta)
+
     def test_too_few_samples_rejected(self):
         with pytest.raises(ValueError):
             ts.sample_curve(ts.HarmonicSymbol({1: 1}), 32)
@@ -427,6 +436,26 @@ class TestCurveDiagnostics:
         monkeypatch.setattr(ts.symbols, "_segment_distances", counting)
         ts.curve_diagnostics(c)
         assert 0 < sum(pairs) <= 64 * M  # a full search evaluates about M^2 / 2
+
+    @pytest.mark.parametrize("coeffs", [{2: 1, -1: 0.8}, {1: 1, -3: 0.5}, {1: 1, -1: 0.5}])
+    def test_sweep_stops_at_the_first_crossing(self, coeffs, monkeypatch):
+        # small blocks: the sweep holds blocks after the one that finds a crossing
+        minima = []
+
+        def recording(p, q, a, b):
+            d = _segment_distances(p, q, a, b)
+            minima.append(float(np.min(d, initial=math.inf)))
+            return d
+
+        c = ts.sample_curve(ts.HarmonicSymbol(coeffs), 512)
+        monkeypatch.setattr(ts.symbols, "PAIR_BUDGET", 64)
+        monkeypatch.setattr(ts.symbols, "_segment_distances", recording)
+        d = ts.curve_diagnostics(c)
+        assert d.min_self_distance == min_self_distance(c.points)
+        if d.jordan:
+            assert 0 not in minima
+        else:
+            assert len(minima) > 2 and minima.index(0.0) == len(minima) - 1
 
     def test_budget_below_one_row_still_exact(self, monkeypatch):
         # one pair per chunk: every sweep chunk is a single (longer) row
