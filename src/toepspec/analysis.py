@@ -42,8 +42,8 @@ from .symbols import (
     DegenerateCurveError,
     HarmonicSymbol,
     SymbolCurve,
+    _loop_windings,
     _on_curve,
-    _windings,
     curve_diagnostics,
     sample_curve,
 )
@@ -58,7 +58,7 @@ def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.nd
     pts = np.atleast_1d(np.asarray(lam, dtype=complex))
     d = c.distance_to(pts)
     outside = ~_on_curve(c, d)
-    outside[outside] = _windings(c, pts[outside]) == 0
+    outside[outside] = _loop_windings(c, pts[outside])[:, -1] == 0
     d = np.where(outside, d, 0.0)
     return float(d[0]) if np.ndim(lam) == 0 else d
 

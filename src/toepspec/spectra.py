@@ -173,7 +173,8 @@ def detect_discrete(
 
     Pipeline: eigensolve every ladder rung, drop eigenvalues within
     delta_curve of the symbol curve, chain survivors across rungs, certify
-    each distinct chain end by sigma_min at the largest order, classify.
+    each distinct chain end by sigma_min at the largest order, and classify the
+    ends together.
     Candidates come in (re, im) order; where chains merge, the first
     chain's drift is kept.  Deterministic for identical inputs.  A bad
     ladder, or an explicit tolerance that is not a finite positive number,
@@ -199,38 +200,31 @@ def detect_discrete(
     chains = _chain_ladder(far, drift_tol) if len(far) >= 3 else []
     # numpy orders complex values by real, then imaginary part
     ends, first = np.unique(np.array([loc for loc, _ in chains], dtype=complex), return_index=True)
-    certified: list[DiscreteCandidate] = []
-    uncertified: list[DiscreteCandidate] = []
-    for loc, i in zip(ends.tolist(), first.tolist()):
-        cert = smallest_singular_value(top, loc)
-        cand = DiscreteCandidate(
-            location=loc, persistence_drift=chains[i][1], certificate=cert,
-            component=classify(loc, curve, delta_curve),
-        )
-        (certified if cert < cert_tol else uncertified).append(cand)
+    cands = [
+        DiscreteCandidate(loc, chains[i][1], smallest_singular_value(top, loc), comp)
+        for loc, i, comp in zip(ends.tolist(), first.tolist(), classify(ends, curve, delta_curve))
+    ]
     return DetectionResult(
-        candidates=tuple(certified),
-        uncertified=tuple(uncertified),
+        candidates=tuple(c for c in cands if c.certificate < cert_tol),
+        uncertified=tuple(c for c in cands if not c.certificate < cert_tol),
         skipped_rungs=tuple(n for n in ladder if n not in rung_eigs),
         curve=curve,
         rung_eigenvalues=rung_eigs,
     )
 
 
-def classify(
-    lam: complex, curve: SymbolCurve, delta_curve: float
-) -> Component:
-    """Classify a point against the symbol curve and its complement.
-
-    nearEssential within delta_curve of the curve or on it (where winding is
-    undefined); else F0, the unbounded component, when the curve and each of its
-    crossing loops wind 0 times around it (``_loop_windings``); boundedHole else.
-    """
-    lam = complex(lam)
-    d = curve.distance_to(lam)
-    if d < delta_curve or _on_curve(curve, d):
-        return Component.NEAR_ESSENTIAL
-    return Component.BOUNDED_HOLE if np.any(_loop_windings(curve, lam)) else Component.F0
+def classify(lam: complex | np.ndarray, curve: SymbolCurve, delta_curve: float) -> Component | list[Component]:
+    """Classify ``lam``, one point (gives a ``Component``) or a 1-D array (gives a list), against
+    the symbol curve: nearEssential within delta_curve of the curve or on it (where winding is
+    undefined); else F0, the unbounded component, when the curve and each of its crossing loops
+    wind 0 times around it (``_loop_windings``); boundedHole else."""
+    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
+    d = curve.distance_to(pts)
+    near = (d < delta_curve) | _on_curve(curve, d)
+    hole = np.zeros(len(pts), dtype=bool)
+    hole[~near] = np.any(_loop_windings(curve, pts[~near]), axis=1)
+    comps = [Component.NEAR_ESSENTIAL if n else Component.BOUNDED_HOLE if h else Component.F0 for n, h in zip(near, hole)]
+    return comps[0] if np.ndim(lam) == 0 else comps
 
 
 @dataclass(frozen=True)
@@ -250,7 +244,7 @@ def resolvent_growth_fit(
     ``||R(z)||`` is approximated by 1 / sigma_min(A_N - z) on the
     Hardy-Toeplitz section, and dist(z, spectrum) by the curve distance,
     which it equals in F0.  A sample that ``classify`` does not put in F0
-    raises ValueError.
+    raises ValueError, before any sigma_min.
     """
     pts = [complex(z) for z in sample_points]
     if len(pts) < 8:
@@ -258,18 +252,15 @@ def resolvent_growth_fit(
     if curve is None:
         curve = sample_curve(s)
     section = ht_section(s, N)
-    log_d = []
-    log_rnorm = []
-    for z, d in zip(pts, curve.distance_to(np.array(pts))):
-        if classify(z, curve, 0.0) is not Component.F0:
+    for z, comp in zip(pts, classify(np.array(pts), curve, 0.0)):
+        if comp is not Component.F0:
             raise ValueError(f"sample point {z} is not in the outer component F0")
-        sig = smallest_singular_value(section, z)
-        if sig <= 0:
+    sig = [smallest_singular_value(section, z) for z in pts]
+    for z, v in zip(pts, sig):
+        if v <= 0:
             raise ValueError(f"singular section at sample point {z}")
-        log_d.append(math.log(d))
-        log_rnorm.append(-math.log(sig))
-    x = np.array(log_d)
-    y = np.array(log_rnorm)
+    x = np.array([math.log(d) for d in curve.distance_to(np.array(pts)).tolist()])
+    y = np.array([-math.log(v) for v in sig])
     if float(np.ptp(x)) < 1e-12:
         raise ValueError("sample distances are degenerate (all equal)")
     slope, intercept = np.polyfit(x, y, 1)

@@ -328,22 +328,12 @@ def _on_curve(c: SymbolCurve, d):
 
 
 def winding_number(c: SymbolCurve, lam: complex) -> int:
-    """Winding of the sampled polyline around ``lam``.
-
-    Computed by summing wrapped argument increments; exact for the polyline.
-    Raises OnCurveError when ``lam`` is within 1e-12 * scale of the polyline.
-    """
+    """Winding of the sampled polyline around ``lam``, the last column of ``_loop_windings``; exact
+    for the polyline.  Raises OnCurveError when ``lam`` is within 1e-12 * scale of the polyline."""
     lam = complex(lam)
     if _on_curve(c, c.distance_to(lam)):
         raise OnCurveError(f"point {lam} lies on the sampled curve")
-    return int(_windings(c, lam)[0])
-
-
-def _windings(c: SymbolCurve, lams) -> np.ndarray:
-    """Windings, as floats, of the polyline around points off it: sums of wrapped angle increments."""
-    a, b = c.points, c.ends
-    turns = _by_blocks(lambda z, k: np.sum(np.angle((b[k] - z) / (a[k] - z)), axis=1), lams, len(a), np.add)
-    return np.rint(turns / (2.0 * math.pi))
+    return int(_loop_windings(c, lam)[0, -1])
 
 
 @dataclass(frozen=True)
@@ -436,19 +426,36 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float):
         i0 = i1
 
 
-def _loop_windings(c: SymbolCurve, lam: complex) -> np.ndarray:
-    """Windings, as floats, of the polyline's crossing loops around ``lam`` (off the
-    polyline), then of the whole curve.  Each contact, a pair k < l of ``_near_pairs``
-    within ``SymbolCurve._touch_tol`` (as makes ``jordan`` False), loops from X, where
-    their lines cross (clipped to segment k), along segments k + 1 .. l - 1 back to X.
-    With contacts as crossings the loops span the curve's cycles: all are 0 exactly when
-    ``lam`` is in the unbounded component, as outside the curve's box, where none is computed.
-    The contacts depend on the curve alone and are found once (``SymbolCurve._contacts``)."""
+def _loop_windings(c: SymbolCurve, lams) -> np.ndarray:
+    """Windings, as floats, around ``lams``, one point or a 1-D array off the polyline: a row per
+    point, each crossing loop's winding, then the whole curve's in the last column.  Each contact,
+    a pair k < l of ``_near_pairs`` within ``SymbolCurve._touch_tol`` (as makes ``jordan`` False),
+    loops from X, where their lines cross (clipped to segment k), along segments k + 1 .. l - 1
+    back to X.  With contacts as crossings the loops span the curve's cycles: all are 0 exactly in
+    the unbounded component, as outside the curve's box, where a row is 0 (the last column alone
+    if no point is inside) and no contact is computed (``SymbolCurve._contacts``, once per curve).
+    Points go PAIR_BUDGET // max(S, K) (at least one) at a time against chunks of S = min(M,
+    PAIR_BUDGET) segments and the K contacts, each row summing its increments in segment order."""
     a, b = c.points, c.ends
-    if not (a.real.min() <= lam.real <= a.real.max() and a.imag.min() <= lam.imag <= a.imag.max()):
-        return np.zeros(1)
-    chunks = [slice(j, j + PAIR_BUDGET) for j in range(0, len(a), PAIR_BUDGET)]
-    prefix = np.cumsum(np.concatenate([[0.0], *(np.angle((b[k] - lam) / (a[k] - lam)) for k in chunks)]))
+    z = np.atleast_1d(np.asarray(lams, dtype=complex))
+    inside = (a.real.min() <= z.real) & (z.real <= a.real.max()) & (a.imag.min() <= z.imag) & (z.imag <= a.imag.max())
+    if not inside.any():
+        return np.zeros((len(z), 1))
     k, l, x = c._contacts
-    ends = np.angle((b[k] - lam) / (x - lam)) + np.angle((x - lam) / (a[l] - lam))
-    return np.rint(np.concatenate([prefix[l] - prefix[k + 1] + ends, prefix[-1:]]) / (2.0 * math.pi))
+    M, S, idx = len(a), min(len(a), PAIR_BUDGET), np.flatnonzero(inside)
+    R = max(1, PAIR_BUDGET // max(S, len(k)))
+    out = np.zeros((len(z), len(k) + 1))
+    for rows in (idx[i : i + R] for i in range(0, len(idx), R)):
+        p = z[rows, None]
+        turned = np.empty((len(rows), M))  # increments, then running sums: column i totals segments 0 .. i
+        for j in range(0, M, S):
+            turned[:, j : j + S] = _turns(p, a[j : j + S], b[j : j + S])
+        np.cumsum(turned, axis=1, out=turned)
+        out[rows, :-1] = turned[:, l - 1] - turned[:, k] + (_turns(p, x, b[k]) + _turns(p, a[l], x))
+        out[rows, -1] = turned[:, -1]
+    return np.rint(out / (2.0 * math.pi))
+
+
+def _turns(z, a, b) -> np.ndarray:
+    """Angles in (-pi, pi] that segments a -> b turn through about points z off them, broadcast."""
+    return np.angle((b - z) / (a - z))

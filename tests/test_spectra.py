@@ -10,7 +10,7 @@ from test_acceptance import MIXED_SYMBOLS
 from toepspec import linalg, spectra, symbols
 from toepspec.analysis import FIT_DIST_RANGE, FIT_POINTS
 from toepspec.spectra import _chain_ladder, _resolve_options
-from toepspec.symbols import _windings
+from toepspec.symbols import _loop_windings
 
 
 SMALL_LADDER = (60, 120, 240)
@@ -225,11 +225,15 @@ class TestClassify:
         curve = ts.sample_curve(symbol, M)
         z, reached = (x[::10, ::10].ravel() for x in raster_f0(curve))
         w = 0.05 * symbol.wiener_norm()
-        keep = (curve.distance_to(z) >= w) & (_windings(curve, z) == 0)
+        keep = (curve.distance_to(z) >= w) & (_loop_windings(curve, z)[:, -1] == 0)
         z, reached = z[keep], reached[keep]
-        f0 = np.array([ts.classify(p, curve, w) is ts.Component.F0 for p in z])
+        comps = ts.classify(z, curve, w)  # the whole array in one call
+        assert comps == [ts.classify(p, curve, w) for p in z.tolist()]
+        f0 = np.array([comp is ts.Component.F0 for comp in comps])
         assert len(z) >= 500
         assert z[f0 != reached].tolist() == []
+        assert ts.classify(z[0], curve, w) is comps[0]
+        assert ts.classify(z[:0], curve, w) == []
 
     @pytest.mark.parametrize("coeffs", [{0: 2}, {0: 1, 1: 1e-140}])
     def test_point_like_curve_runs_no_pair_search(self, coeffs, monkeypatch):
@@ -305,7 +309,7 @@ class TestResolventFit:
             dists = np.linspace(FIT_DIST_RANGE[0], FIT_DIST_RANGE[1], FIT_POINTS) * s.wiener_norm()
             pts = np.array(ts.points_at_distance(curve, dists))
             assert np.all(np.abs(ts.dist_to_spectrum(pts, curve) - dists) <= 1e-12 * dists), s.coeffs
-            assert np.all(_windings(curve, pts) == 0), s.coeffs
+            assert np.all(_loop_windings(curve, pts)[:, -1] == 0), s.coeffs
             assert len(set(pts.tolist())) == len(pts), s.coeffs
 
     def test_points_at_distance_is_the_last_exit(self):
@@ -341,6 +345,18 @@ class TestResolventFit:
         pts = [bad, *ts.points_at_distance(curve, np.linspace(0.1, 0.5, 7) * s.wiener_norm())]
         with pytest.raises(ValueError, match=re.escape(f"sample point {complex(bad)} is not in the outer component F0")):
             ts.resolvent_growth_fit(s, pts, N=60, curve=curve)
+
+    def test_fit_checks_every_point_before_any_sigma_min(self, monkeypatch):
+        # 15 F0 points, then 0, in a bounded hole: the fit rejects it before its first sigma_min
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        curve = ts.sample_curve(s)
+        pts = [*ts.points_at_distance(curve, np.linspace(0.05, 0.5, 15) * s.wiener_norm()), 0.0]
+        assert ts.classify(0.0, curve, 0.0) is ts.Component.BOUNDED_HOLE
+        calls = []
+        monkeypatch.setattr(spectra, "smallest_singular_value", lambda *args: calls.append(args) or 1.0)
+        with pytest.raises(ValueError, match=re.escape("sample point 0j is not in the outer component F0")):
+            ts.resolvent_growth_fit(s, pts, N=60, curve=curve)
+        assert calls == []
 
     @pytest.mark.parametrize("bad", [0.0, -0.3, math.nan, math.inf, -math.inf])
     def test_points_at_distance_rejects_a_bad_target(self, bad):

@@ -210,8 +210,9 @@ class TestWindingNumber:
 
 
 class TestCurveQueries:
-    """Distance, winding and the ray exits of points_at_distance all run
-    through ``symbols._by_blocks`` in blocks of at most PAIR_BUDGET pairs."""
+    """Distance and the ray exits of points_at_distance run through
+    ``symbols._by_blocks``, and every winding through ``symbols._loop_windings``,
+    in blocks of at most PAIR_BUDGET pairs."""
 
     QUERIES = {
         "distance_to": lambda c, z: c.distance_to(z),
@@ -250,9 +251,22 @@ class TestCurveQueries:
 
             return by_blocks(fn_recorded, lam, n_segments, ufunc)
 
+        turns, seen = ts.symbols._turns, {}
+
+        def turns_recorded(z, a, b):
+            # a chunk of segments, here the 0 contacts of a Jordan curve aside: j is its first
+            if len(a):
+                j = int(np.flatnonzero(c.points == a[0])[0])
+                assert a.size * len(z) <= budget
+                for p in z[:, 0].tolist():
+                    seen.setdefault(p, np.zeros(M, dtype=int))[j : j + len(a)] += 1
+            return turns(z, a, b)
+
         for module in (ts.symbols, ts.spectra):
             monkeypatch.setattr(module, "_by_blocks", recording)
+        monkeypatch.setattr(ts.symbols, "_turns", turns_recorded)
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), M)
+        assert len(c._contacts[0]) == 0
         ring = np.exp(2j * np.pi * np.arange(48) / 48)
         ts.dist_to_spectrum(np.concatenate([0.2 * ring, 3 * ring]), c)
         assert ts.classify(3 + 1j, c, 0.1) is ts.Component.F0
@@ -261,13 +275,30 @@ class TestCurveQueries:
         queries = {(caller, ufunc) for caller, _, _, ufunc, _ in calls}
         expected = {
             ("SymbolCurve.distance_to", np.minimum),
-            ("_windings", np.add),
             ("points_at_distance", np.maximum),
         }
         assert queries == expected
         for _, n, n_segments, _, pairs in calls:
             assert max(pairs) <= budget
             assert sum(pairs) == n * n_segments == n * M  # each pair once
+        # the winding kernel: the inner ring, 0.1 and the centroid start of points_at_distance,
+        # inside the box, each meet every segment once; the outer ring and 3 + 1j none
+        assert set(seen) == {*(0.2 * ring).tolist(), 0.1 + 0j, complex(np.mean(c.points))}
+        assert all((cover == 1).all() for cover in seen.values())
+
+    def test_winding_blocks_hold_the_contacts(self, monkeypatch):
+        # the doubly traversed circle {2: 1} at M = 512 has K = 768 contacts, more
+        # than its 512 segments: blocks of PAIR_BUDGET // K = 5 points
+        c = ts.sample_curve(ts.HarmonicSymbol({2: 1}), 512)
+        K = len(c._contacts[0])
+        assert K == 768
+        turns, blocks = ts.symbols._turns, []
+        monkeypatch.setattr(ts.symbols, "_turns", lambda z, a, b: blocks.append((len(z), a.size)) or turns(z, a, b))
+        # 7 points in the disc, 5 between it and the box's corners
+        z = np.concatenate([0.5 * np.exp(2j * np.pi * np.arange(7) / 7), 0.9 * np.array([1 + 1j, 1 - 1j, -1 + 1j, -1 - 1j]), [0.95 + 0.5j]])
+        assert _loop_windings(c, z)[:, -1].tolist() == [2] * 7 + [0] * 5
+        assert {n for n, _ in blocks} == {5, 2} and max(n * m for n, m in blocks) <= ts.symbols.PAIR_BUDGET
+        assert sum(n * m for n, m in blocks) == 12 * (512 + 2 * K)
 
     def test_queries_peak_below_the_block_limit(self):
         """4096 points against M = 512: every block's temporaries stay below
@@ -508,7 +539,7 @@ class TestLoopWindings:
             for z in p[0] + np.outer([1e-3, 0.3], np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)).ravel() * abs(p[1] - p[0]):
                 if c.distance_to(z) < 1e-5 * abs(p[1] - p[0]):
                     continue
-                got = _loop_windings(c, z)
+                got = _loop_windings(c, z)[0]
                 assert sorted(got[:-1].tolist()) == sorted(polygon_winding(p, z) for p in loops)
                 assert got[-1] == polygon_winding(a, z)
                 checked += 1
@@ -518,8 +549,11 @@ class TestLoopWindings:
         # segments 0 and 2 cross at 1 + 1j; the loop from there is the right
         # lobe, traced clockwise
         c = ts.SymbolCurve(points=[0, 2 + 2j, 2, 2j], tangents=np.ones(4))
-        assert _loop_windings(c, 1.01 + 1j).tolist() == [-1, -1]
-        assert _loop_windings(c, 0.99 + 1j).tolist() == [0, 1]
+        assert _loop_windings(c, 1.01 + 1j).tolist() == [[-1, -1]]
+        assert _loop_windings(c, 0.99 + 1j).tolist() == [[0, 1]]
+        # an array: a row per point, and a point outside the box gets zeros
+        assert _loop_windings(c, np.array([0.99 + 1j, 5, 1.01 + 1j])).tolist() == [[0, 1], [0, 0], [-1, -1]]
+        assert _loop_windings(c, np.array([5, -1j])).tolist() == [[0], [0]]
 
 
 class TestSegmentDistances:
