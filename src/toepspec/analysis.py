@@ -42,24 +42,18 @@ from .symbols import (
     DegenerateCurveError,
     HarmonicSymbol,
     SymbolCurve,
-    _loop_windings,
-    _on_curve,
     curve_diagnostics,
     sample_curve,
 )
 
 
 def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.ndarray:
-    """Distance to the filled Hardy spectrum, as the Weyl fraction uses it:
-    zero on the curve (within ON_CURVE_RTOL * scale) or at nonzero winding,
-    the polyline distance otherwise.  ``lam`` is one finite point (gives a
-    float) or a 1-D array of them (gives an array), in blocks of PAIR_BUDGET
-    (point, segment) pairs."""
-    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
-    d = c.distance_to(pts)
-    outside = ~_on_curve(c, d)
-    outside[outside] = _loop_windings(c, pts[outside])[:, -1] == 0
-    d = np.where(outside, d, 0.0)
+    """Distance to the filled Hardy spectrum, as the Weyl fraction uses it: by
+    ``SymbolCurve.locate``, zero on the curve or at nonzero winding, the
+    polyline distance otherwise.  ``lam`` is one finite point (gives a float)
+    or a 1-D array of them (gives an array), in PAIR_BUDGET-pair blocks."""
+    d, on, windings = c.locate(lam)
+    d = np.where(on | (windings[:, -1] != 0), 0.0, d)
     return float(d[0]) if np.ndim(lam) == 0 else d
 
 

@@ -19,7 +19,6 @@ import numpy as np
 from .linalg import eigenvalues, smallest_singular_value
 from .sections import FiniteSection, bt_section, ht_section
 from .symbols import HarmonicSymbol, SymbolCurve, sample_curve
-from .symbols import _by_blocks, _loop_windings, _on_curve, _ray_exits
 
 DEFAULT_LADDER = (200, 400, 800)
 
@@ -214,17 +213,18 @@ def detect_discrete(
 
 
 def classify(lam: complex | np.ndarray, curve: SymbolCurve, delta_curve: float) -> Component | list[Component]:
-    """Classify ``lam``, one point (gives a ``Component``) or a 1-D array (gives a list), against
-    the symbol curve: nearEssential within delta_curve of the curve or on it (where winding is
-    undefined); else F0, the unbounded component, when the curve and each of its crossing loops
-    wind 0 times around it (``_loop_windings``); boundedHole else."""
-    pts = np.atleast_1d(np.asarray(lam, dtype=complex))
-    d = curve.distance_to(pts)
-    near = (d < delta_curve) | _on_curve(curve, d)
-    hole = np.zeros(len(pts), dtype=bool)
-    hole[~near] = np.any(_loop_windings(curve, pts[~near]), axis=1)
-    comps = [Component.NEAR_ESSENTIAL if n else Component.BOUNDED_HOLE if h else Component.F0 for n, h in zip(near, hole)]
+    """Classify ``lam``, one point (gives a ``Component``) or a 1-D array (gives a list), by its
+    ``SymbolCurve.locate`` record: nearEssential within delta_curve of the curve or on it (where
+    winding is undefined); else F0, the unbounded component, if ``_in_f0``; boundedHole else."""
+    d, on, windings = curve.locate(lam)
+    near, f0 = (d < delta_curve) | on, _in_f0(on, windings)
+    comps = [Component.NEAR_ESSENTIAL if n else Component.F0 if f else Component.BOUNDED_HOLE for n, f in zip(near, f0)]
     return comps[0] if np.ndim(lam) == 0 else comps
+
+
+def _in_f0(on: np.ndarray, windings: np.ndarray) -> np.ndarray:
+    """The F0 rule on a ``SymbolCurve.locate`` record: off the curve, with every winding 0."""
+    return ~on & ~np.any(windings, axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,8 +243,8 @@ def resolvent_growth_fit(
 
     ``||R(z)||`` is approximated by 1 / sigma_min(A_N - z) on the
     Hardy-Toeplitz section, and dist(z, spectrum) by the curve distance,
-    which it equals in F0.  A sample that ``classify`` does not put in F0
-    raises ValueError, before any sigma_min.
+    which it equals in F0; one ``SymbolCurve.locate`` gives both.  A sample
+    that ``_in_f0`` puts outside F0 raises ValueError, before any sigma_min.
     """
     pts = [complex(z) for z in sample_points]
     if len(pts) < 8:
@@ -252,14 +252,15 @@ def resolvent_growth_fit(
     if curve is None:
         curve = sample_curve(s)
     section = ht_section(s, N)
-    for z, comp in zip(pts, classify(np.array(pts), curve, 0.0)):
-        if comp is not Component.F0:
+    d, on, windings = curve.locate(np.array(pts))
+    for z, f0 in zip(pts, _in_f0(on, windings)):
+        if not f0:
             raise ValueError(f"sample point {z} is not in the outer component F0")
     sig = [smallest_singular_value(section, z) for z in pts]
     for z, v in zip(pts, sig):
         if v <= 0:
             raise ValueError(f"singular section at sample point {z}")
-    x = np.array([math.log(d) for d in curve.distance_to(np.array(pts)).tolist()])
+    x = np.array([math.log(v) for v in d.tolist()])
     y = np.array([-math.log(v) for v in sig])
     if float(np.ptp(x)) < 1e-12:
         raise ValueError("sample distances are degenerate (all equal)")
@@ -276,22 +277,21 @@ def points_at_distance(curve: SymbolCurve, dists: Sequence[float]) -> list[compl
     the curve; only from there can a ray miss a target's neighbourhood.  Its
     point is where the ray leaves, for the last time, the target's
     neighbourhood of the sampled polyline, the union of one stadium per
-    segment: the largest of the segments' exit parameters, in one pass of
-    ``_by_blocks``.  Farther out the ray stays beyond the target distance of
-    the curve, so the point lies in F0 at the target distance from the
-    curve, up to rounding.  A target that is not a finite positive number
-    raises ValueError.
+    segment: the largest of the segments' exit parameters, in one
+    ``SymbolCurve.last_exits`` query.  Farther out the ray stays beyond the
+    target distance of the curve, so the point lies in F0 at the target
+    distance from the curve, up to rounding.  A target that is not a finite
+    positive number raises ValueError.
     """
     d = np.array(dists, dtype=float)
     for i, x in enumerate(d.tolist()):
         if not 0 < x < math.inf:
             raise ValueError(f"target distance dists[{i}] = {x} is not a finite positive number")
-    a, b = curve.points, curve.ends
+    a = curve.points
     start = complex(np.mean(a))
     if len(d) and classify(start, curve, d.min()) is Component.F0:
         start = complex(a[np.argmin(np.abs(a - start))])
     angles = [2.0 * math.pi * i / max(1, len(d)) + math.pi / 16 for i in range(len(d))]
     direction = np.array([complex(math.cos(x), math.sin(x)) for x in angles])
-    # each ray is passed as direction * target, which _ray_exits splits again
-    t = _by_blocks(lambda v, k: np.max(_ray_exits(start, v, a[k], b[k]), axis=1), d * direction, len(a), np.maximum)
-    return [complex(z) for z in start + t * direction]
+    # each ray is passed as direction * target, which last_exits splits again
+    return [complex(z) for z in start + curve.last_exits(start, d * direction) * direction]

@@ -203,10 +203,14 @@ class SymbolCurve:
     def __len__(self) -> int:
         return len(self.points)
 
-    def scale(self) -> float:
-        """Characteristic length used by relative tolerances."""
+    @functools.cached_property
+    def _scale(self) -> float:
         s = float(np.max(np.abs(self.points))) if len(self.points) else 0.0
         return s if s > 0 else 1.0
+
+    def scale(self) -> float:
+        """Characteristic length used by relative tolerances, found on first call and then cached."""
+        return self._scale
 
     def _touch_tol(self) -> float:
         """How near two segments touch: SELF_INTERSECT_RTOL times the curve's extent, which a
@@ -222,6 +226,19 @@ class SymbolCurve:
             lambda z, k: np.min(_point_segment_distances(z, a[k], b[k]), axis=1), lam, len(a), np.minimum
         )
         return float(d[0]) if np.ndim(lam) == 0 else d
+
+    def locate(self, lam: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Per point of ``lam``, one finite point or a 1-D array: its ``distance_to``, whether it is
+        on the curve (within ON_CURVE_RTOL * scale, the one such test), its ``_loop_windings`` row."""
+        d = self.distance_to(np.atleast_1d(lam))
+        on = d <= ON_CURVE_RTOL * self.scale()
+        return d, on, _loop_windings(self, lam, ~on)
+
+    def last_exits(self, start: complex, rays: np.ndarray) -> np.ndarray:
+        """Per ray v, the largest t with start + t v / |v| within |v| of the polyline, or -inf: the
+        largest of the segments' ``_ray_exits``, by ``_by_blocks``."""
+        a, b = self.points, self.ends
+        return _by_blocks(lambda v, k: np.max(_ray_exits(start, v, a[k], b[k]), axis=1), rays, len(a), np.maximum)
 
 
 def _by_blocks(fn, lam, M: int, ufunc) -> np.ndarray:
@@ -322,18 +339,13 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     return SymbolCurve(points=points, tangents=tangents)
 
 
-def _on_curve(c: SymbolCurve, d):
-    """Whether distances ``d`` to ``c`` (float or array) are within ON_CURVE_RTOL * scale."""
-    return d <= ON_CURVE_RTOL * c.scale()
-
-
 def winding_number(c: SymbolCurve, lam: complex) -> int:
-    """Winding of the sampled polyline around ``lam``, the last column of ``_loop_windings``; exact
-    for the polyline.  Raises OnCurveError when ``lam`` is within 1e-12 * scale of the polyline."""
-    lam = complex(lam)
-    if _on_curve(c, c.distance_to(lam)):
-        raise OnCurveError(f"point {lam} lies on the sampled curve")
-    return int(_loop_windings(c, lam)[0, -1])
+    """Winding of the sampled polyline around ``lam``, the last column of its ``SymbolCurve.locate``
+    row; exact for the polyline.  Raises OnCurveError when ``locate`` puts ``lam`` on the curve."""
+    _, on, windings = c.locate(complex(lam))
+    if on[0]:
+        raise OnCurveError(f"point {complex(lam)} lies on the sampled curve")
+    return int(windings[0, -1])
 
 
 @dataclass(frozen=True)
@@ -426,19 +438,20 @@ def _near_pairs(a: np.ndarray, b: np.ndarray, reach: float):
         i0 = i1
 
 
-def _loop_windings(c: SymbolCurve, lams) -> np.ndarray:
+def _loop_windings(c: SymbolCurve, lams, off=True) -> np.ndarray:
     """Windings, as floats, around ``lams``, one point or a 1-D array off the polyline: a row per
-    point, each crossing loop's winding, then the whole curve's in the last column.  Each contact,
-    a pair k < l of ``_near_pairs`` within ``SymbolCurve._touch_tol`` (as makes ``jordan`` False),
-    loops from X, where their lines cross (clipped to segment k), along segments k + 1 .. l - 1
-    back to X.  With contacts as crossings the loops span the curve's cycles: all are 0 exactly in
-    the unbounded component, as outside the curve's box, where a row is 0 (the last column alone
-    if no point is inside) and no contact is computed (``SymbolCurve._contacts``, once per curve).
-    Points go PAIR_BUDGET // max(S, K) (at least one) at a time against chunks of S = min(M,
-    PAIR_BUDGET) segments and the K contacts, each row summing its increments in segment order."""
+    point, each crossing loop's winding, then the whole curve's in the last column; a zero row where
+    the mask ``off`` is False.  Each contact, a pair k < l of ``_near_pairs`` within
+    ``SymbolCurve._touch_tol`` (as makes ``jordan`` False), loops from X, where their lines cross
+    (clipped to segment k), along segments k + 1 .. l - 1 back to X.  With contacts as crossings the
+    loops span the curve's cycles: all are 0 exactly in the unbounded component, as outside the
+    curve's box, where a row is 0 (the last column alone if no point is inside) and no contact is
+    computed (``SymbolCurve._contacts``, once per curve).  Points go PAIR_BUDGET // max(S, K) (at
+    least one) at a time against chunks of S = min(M, PAIR_BUDGET) segments and the K contacts, each
+    row summing its increments in segment order."""
     a, b = c.points, c.ends
     z = np.atleast_1d(np.asarray(lams, dtype=complex))
-    inside = (a.real.min() <= z.real) & (z.real <= a.real.max()) & (a.imag.min() <= z.imag) & (z.imag <= a.imag.max())
+    inside = off & (a.real.min() <= z.real) & (z.real <= a.real.max()) & (a.imag.min() <= z.imag) & (z.imag <= a.imag.max())
     if not inside.any():
         return np.zeros((len(z), 1))
     k, l, x = c._contacts

@@ -208,7 +208,10 @@ def test_criterion_7_detection_pipeline():
 
 def test_criterion_8_weyl_diagnostic():
     # Fraction of section eigenvalues inside the spectrum stays >= 0.95 for
-    # constant, analytic, and self-adjoint symbols at N = 200.
+    # constant, analytic, and self-adjoint symbols at N = 200.  Every section
+    # eigenvalue lies in the convex hull of the curve; for the last two symbols
+    # that hull reaches 0.26 and 0.37 beyond the filled spectrum, more than the
+    # 0.1 * wiener_norm margin (0.18 and 0.16), so their check can fail.
     with criterion(8, "Weyl diagnostic", 30):
         cases = (
             {0: 2 + 1j},
@@ -216,6 +219,8 @@ def test_criterion_8_weyl_diagnostic():
             {2: 0.5, 1: 1},
             {1: 1, -1: 1},
             {1: 0.7, -1: 0.7, 0: 0.3},
+            {2: 1, -1: 0.8},
+            {1: 1, -2: 0.6j},
         )
         for coeffs in cases:
             frac = ts.weyl_diagnostic(ts.HarmonicSymbol(coeffs), 200)

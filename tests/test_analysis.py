@@ -248,15 +248,16 @@ class TestReport:
         assert again.to_json() == report.to_json()
 
     def test_each_point_set_classified_once(self, monkeypatch):
-        # the chain ends, the fit's samples and the centroid start of points_at_distance:
-        # one classify call each, and 8 curve distances in all
+        # the chain ends and the centroid start of points_at_distance: one classify call
+        # each; the fit's samples: one SymbolCurve.locate for their F0 test and log d;
+        # 7 curve distances in all
         classify, calls = spectra.classify, []
         monkeypatch.setattr(spectra, "classify", lambda *args: calls.append(args[0]) or classify(*args))
         distance_to, distances = ts.SymbolCurve.distance_to, []
         monkeypatch.setattr(ts.SymbolCurve, "distance_to", lambda c, z: distances.append(z) or distance_to(c, z))
         rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=(50, 100, 200)))
         assert len(rep.candidates + rep.uncertified_candidates) >= 1 and rep.p_hat is not None
-        assert len(calls) <= 3 and len(distances) <= 8
+        assert len(calls) <= 2 and len(distances) <= 7
 
     def test_summary_is_text(self, report):
         text = report.summary()

@@ -38,6 +38,16 @@ def test_modules_import_only_lower_layers():
                     assert LAYERS.index(target.split(".")[0]) < LAYERS.index(path.stem), (path.stem, target)
 
 
+def test_spectra_and_analysis_use_no_private_name_of_symbols():
+    # symbols alone locates points against the curve and splits the polyline into blocks
+    for stem in ("spectra", "analysis"):
+        for node in ast.walk(ast.parse((Path(ts.__file__).parent / f"{stem}.py").read_text())):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module == "symbols":
+                assert not [a.name for a in node.names if a.name.startswith("_")], (stem, ast.unparse(node))
+            if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id == "symbols":
+                assert not node.attr.startswith("_"), (stem, node.attr)
+
+
 def test_readme_quick_start_runs():
     # the first python block of README.md, the Quick start, as written there
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

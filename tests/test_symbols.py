@@ -210,9 +210,9 @@ class TestWindingNumber:
 
 
 class TestCurveQueries:
-    """Distance and the ray exits of points_at_distance run through
-    ``symbols._by_blocks``, and every winding through ``symbols._loop_windings``,
-    in blocks of at most PAIR_BUDGET pairs."""
+    """Distance and the ray exits of points_at_distance (``SymbolCurve.last_exits``)
+    run through ``symbols._by_blocks``, and every winding through
+    ``symbols._loop_windings``, in blocks of at most PAIR_BUDGET pairs."""
 
     QUERIES = {
         "distance_to": lambda c, z: c.distance_to(z),
@@ -262,8 +262,7 @@ class TestCurveQueries:
                     seen.setdefault(p, np.zeros(M, dtype=int))[j : j + len(a)] += 1
             return turns(z, a, b)
 
-        for module in (ts.symbols, ts.spectra):
-            monkeypatch.setattr(module, "_by_blocks", recording)
+        monkeypatch.setattr(ts.symbols, "_by_blocks", recording)
         monkeypatch.setattr(ts.symbols, "_turns", turns_recorded)
         c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), M)
         assert len(c._contacts[0]) == 0
@@ -275,7 +274,7 @@ class TestCurveQueries:
         queries = {(caller, ufunc) for caller, _, _, ufunc, _ in calls}
         expected = {
             ("SymbolCurve.distance_to", np.minimum),
-            ("points_at_distance", np.maximum),
+            ("SymbolCurve.last_exits", np.maximum),
         }
         assert queries == expected
         for _, n, n_segments, _, pairs in calls:
@@ -345,6 +344,22 @@ class TestCurveQueries:
             tracemalloc.stop()
         assert (d[:32] == 0).all() and (d[32:] > 1).all()
         assert peak < 32 * 2**20
+
+    def test_repeated_query_finds_the_scale_once(self):
+        # at M = 2**20, max |p| over the points takes an 8 MiB temporary; the curve keeps the
+        # value, so a repeated query of a point outside the box peaks at its distance blocks
+        c = ts.sample_curve(ts.HarmonicSymbol({1: 1, -1: 0.5}), 2**20)
+        queries = (lambda: ts.classify(5 + 5j, c, 0.1), lambda: ts.winding_number(c, 5 + 5j))
+        for query in queries:
+            query()
+            tracemalloc.start()
+            try:
+                query()
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert peak < 2**20
+        assert c.scale() == float(np.max(np.abs(c.points)))
 
 
 class TestCurveDiagnostics:
@@ -516,7 +531,8 @@ class TestLoopWindings:
     )
     def test_each_loop_winds_as_its_own_polygon(self, coeffs):
         # every contact by a full search; near its crossing X the loop's two
-        # end pieces, X -> b[k] and a[l] -> X, decide the winding
+        # end pieces, X -> b[k] and a[l] -> X, decide the winding.  The same points,
+        # after a vertex and a segment midpoint, go through SymbolCurve.locate at once
         c = ts.sample_curve(ts.HarmonicSymbol(coeffs), 256)
         a, b, M = c.points, c.ends, len(c)
         tol = c._touch_tol()
@@ -534,7 +550,7 @@ class TestLoopWindings:
             t = np.linalg.solve(system, [d.real, d.imag])[0] if np.linalg.det(system) != 0 else 0.0
             x = a[k] + min(max(t, 0.0), 1.0) * e
             loops.append(np.concatenate(([x], a[k + 1 : l + 1])))
-        checked = 0
+        checked = []
         for p in loops:
             for z in p[0] + np.outer([1e-3, 0.3], np.exp(2j * np.pi * (np.arange(8) + 0.5) / 8)).ravel() * abs(p[1] - p[0]):
                 if c.distance_to(z) < 1e-5 * abs(p[1] - p[0]):
@@ -542,8 +558,13 @@ class TestLoopWindings:
                 got = _loop_windings(c, z)[0]
                 assert sorted(got[:-1].tolist()) == sorted(polygon_winding(p, z) for p in loops)
                 assert got[-1] == polygon_winding(a, z)
-                checked += 1
-        assert checked >= 8 * len(loops) > 0
+                checked.append(z)
+        assert len(checked) >= 8 * len(loops) > 0
+        # no RuntimeWarning (an error under pytest) from a turn about a vertex
+        d, on, windings = c.locate(np.array([a[5], (a[9] + b[9]) / 2, *checked]))
+        assert d[0] == 0 and on[:2].all() and not on[2:].any()
+        assert (windings[:2] == 0).all()
+        assert np.array_equal(windings[2:], _loop_windings(c, np.array(checked)))
 
     def test_bow_tie(self):
         # segments 0 and 2 cross at 1 + 1j; the loop from there is the right
