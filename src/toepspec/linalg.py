@@ -16,10 +16,15 @@ diagonal and off-diagonal (d1, e1, d2, ..., dN), whose eigenvalues are
 underflow threshold, bisection on this zero-diagonal tridiagonal finds it to
 high relative accuracy (Demmel & Kahan 1990); the band reduction is backward
 stable, like ``gesdd``.  The cost is O(N^2 (kl + ku)) for the reduction and
-O(N) per bisection step, instead of O(N^3).  Scaling the band by the power
-of two 2^-p that brings its largest real or imaginary part into [1/2, 1), and
-sigma back by 2^p, is exact (but for parts below 2^-1022 times the largest):
-sigma_min is scale-free, and no routine under- or overflows at any magnitude.
+O(N) per bisection step, instead of O(N^3).  Each call allocates one zeroed
+block of float64 words that holds every argument of both routines, integers
+and int64 arrays included, and passes them as raw addresses, fixed offsets
+from its base: safe, since the block is a local of the call that outlives
+both routines, and nothing is kept between calls.  Scaling the band by the
+power of two 2^-p that brings its largest real or imaginary part into
+[1/2, 1), and sigma back by 2^p, is exact (but for parts below 2^-1022 times
+the largest): sigma_min is scale-free, and no routine under- or overflows at
+any magnitude.
 The routines are looked up once, on the first call, in the library
 ``np.linalg`` itself calls, under the ILP64 names of NumPy's wheels only.
 Their value agrees with ``gesdd``'s within 1e-8 sigma + 4 eps ||A - lam I||_2
@@ -109,52 +114,55 @@ def _lapack() -> dict | None:
     return None
 
 
-def _ref(v: int):
-    """A LAPACK integer argument: a reference to a 64-bit int."""
-    return ctypes.byref(ctypes.c_int64(v))
-
-
 def _band_sigma_min(routines: dict, section: FiniteSection, lam: complex) -> float:
     """sigma_min of A - lam I: ``xGBBRD`` on ``_shifted_bands`` (kl, ku their
     extreme offsets), then ``DSTEBZ`` on the Golub-Kahan tridiagonal of the
     bidiagonal.  A nonzero INFO, or a count of eigenvalues found other than
     one, raises LinAlgError."""
     n, bands = section.order, _shifted_bands(section, lam)
-    kl, ku = max(bands), -min(bands)
+    kl, ku, dtype = max(bands), -min(bands), np.result_type(float, *bands.values())
+    c = 1 if dtype == float else 2  # words per element of AB
+    # the block's words: 16 scalars, AB from word 16 to o, then D, E, the Golub-Kahan
+    # off-diagonal T and zero diagonal Z, W, DSTEBZ's WORK, IBLOCK, ISPLIT, IWORK
+    # and xGBBRD's WORK (and RWORK, for zgbbrd)
+    o = 16 + c * n * (kl + ku + 1)
+    d, e, t, z, w, swork, iblock, isplit, iwork, work = (o + k * n for k in (0, 1, 2, 4, 6, 8, 16, 18, 20, 26))
+    buf = np.zeros(work + (1 + c) * n)
+    words = buf.view(np.int64)
+    words[:8] = n, 0, kl, ku, kl + ku + 1, 1, 2 * n, n + 1
+    buf[11] = _ABSTOL
+    # the local buf keeps the block alive through both calls; word i is at a + 8 * i,
+    # and scalar word 8 is INFO, 9 is M
+    a = buf.ctypes.data
+    N, NCC, KL, KU, LDAB, ONE, N2, IL, INFO, M, NSPLIT, ABSTOL, VLU = range(a, a + 104, 8)
+    W = a + 8 * w
     # row j holds LAPACK's band column j: AB[ku + i - j, j] = B[i, j]
-    ab = np.zeros((n, kl + ku + 1), dtype=np.result_type(float, *bands.values()))
+    ab = buf[16:o].view(dtype).reshape(n, kl + ku + 1)
     for off, band in bands.items():
         ab[max(0, -off) : n - max(0, off), ku + off] = band
-    p = math.frexp(np.abs(ab.view(float)).max())[1]  # no modulus, which could overflow
-    ab = np.ldexp(ab.view(float), -p).view(ab.dtype)
-    d, e, info = np.empty(n), np.zeros(n), ctypes.c_int64(0)
-    dummy = np.zeros(1, dtype=ab.dtype)  # Q, PT and C, not referenced with VECT = 'N'
-    work = [np.empty(2 * n)] if ab.dtype == float else [np.empty(n, dtype=complex), np.empty(n)]
-    gbbrd = routines["dgbbrd" if ab.dtype == float else "zgbbrd"]
-    # (VECT, M, N, NCC, KL, KU, AB, LDAB, D, E, Q, LDQ, PT, LDPT, C, LDC, WORK[, RWORK], INFO, len(VECT))
-    gbbrd(b"N", _ref(n), _ref(n), _ref(0), _ref(kl), _ref(ku), ab.ctypes, _ref(kl + ku + 1), d.ctypes, e.ctypes,
-          dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), dummy.ctypes, _ref(1), *(w.ctypes for w in work),
-          ctypes.byref(info), 1)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
-    # the Golub-Kahan off-diagonal (d1, e1, d2, ..., dN); its signs do not
-    # change the eigenvalues
-    t = np.empty(2 * n - 1)
-    t[0::2], t[1::2] = np.abs(d), np.abs(e[: n - 1])
-    m, w, vlu = ctypes.c_int64(0), np.empty(2 * n), ctypes.c_double(0.0)  # VL, VU: not referenced with RANGE = 'I'
-    iblock, isplit, iwork = (np.empty(k * n, dtype=np.int64) for k in (2, 2, 6))
-    # (RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO, len(RANGE), len(ORDER))
-    routines["dstebz"](b"I", b"E", _ref(2 * n), ctypes.byref(vlu), ctypes.byref(vlu), _ref(n + 1), _ref(n + 1),
-                       ctypes.byref(ctypes.c_double(_ABSTOL)), np.zeros(2 * n).ctypes, t.ctypes, ctypes.byref(m),
-                       ctypes.byref(ctypes.c_int64(0)), w.ctypes, iblock.ctypes, isplit.ctypes,
-                       np.empty(8 * n).ctypes, iwork.ctypes, ctypes.byref(info), 1, 1)
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {info.value})")
-    if m.value != 1:
-        raise np.linalg.LinAlgError(f"band SVD failed ({m.value} eigenvalues found, not 1)")
+    p = math.frexp(np.abs(buf[16:o]).max())[1]  # no modulus, which could overflow
+    np.ldexp(buf[16:o], -p, out=buf[16:o])
+    gbbrd, rwork = (routines["dgbbrd"], ()) if c == 1 else (routines["zgbbrd"], (a + 8 * (work + 2 * n),))
+    # (VECT, M, N, NCC, KL, KU, AB, LDAB, D, E, Q, LDQ, PT, LDPT, C, LDC, WORK[, RWORK], INFO, len(VECT));
+    # Q, PT and C (given W) are not referenced with VECT = 'N'
+    gbbrd(b"N", N, N, NCC, KL, KU, a + 8 * 16, LDAB, a + 8 * d, a + 8 * e, W, ONE, W, ONE, W, ONE, a + 8 * work, *rwork,
+          INFO, 1)
+    if words[8] != 0:
+        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {words[8]})")
+    # T = (d1, e1, d2, ..., dN): its signs do not change the eigenvalues, and
+    # DSTEBZ reads its first 2N - 1 words only
+    np.abs(buf[d:t].reshape(2, n), out=buf[t:z].reshape(n, 2).T)
+    # (RANGE, ORDER, N, VL, VU, IL, IU, ABSTOL, D, E, M, NSPLIT, W, IBLOCK, ISPLIT, WORK, IWORK, INFO, len(RANGE), len(ORDER));
+    # VL and VU are not referenced with RANGE = 'I'
+    routines["dstebz"](b"I", b"E", N2, VLU, VLU, IL, IL, ABSTOL, a + 8 * z, a + 8 * t, M, NSPLIT, W,
+                       a + 8 * iblock, a + 8 * isplit, a + 8 * swork, a + 8 * iwork, INFO, 1, 1)
+    if words[8] != 0:
+        raise np.linalg.LinAlgError(f"band SVD failed (INFO = {words[8]})")
+    if words[9] != 1:
+        raise np.linalg.LinAlgError(f"band SVD failed ({words[9]} eigenvalues found, not 1)")
     # bisection may land below a zero sigma by ABSTOL; a sigma beyond the doubles is inf
     with np.errstate(over="ignore"):
-        return float(np.ldexp(max(w[0], 0.0), p))
+        return float(np.ldexp(max(buf[w], 0.0), p))
 
 
 def _dense_sigma_min(section: FiniteSection, lam: complex) -> float:

@@ -304,6 +304,25 @@ class TestBandPath:
         elif z in (2.6, 2.5 + 0.3j):
             assert sigma == pytest.approx([0.1 if z == 2.6 else 0.3] * 3, rel=2e-5)
 
+    def test_smallest_orders_and_no_state(self):
+        # N = 1, 2, 3 put the workspace regions at their closest and leave AB with
+        # fewer bands than the symbol has; b_0 = i at lam = i is real only after the
+        # shift.  Run forward, then reversed: no call may read what another left.
+        symbols = [REAL_SYMBOLS[0], COMPLEX_SYMBOLS[0], ts.HarmonicSymbol({}), ts.from_parts([1j, 1], [0, 0.5])]
+        calls = [
+            (build(s, N), lam)
+            for s in symbols
+            for N in (1, 2, 3)
+            for build in (ts.bt_section, ts.ht_section)
+            for lam in (0.5, 0.3 - 0.7j, 1j)
+        ]
+        forward = np.array([smallest_singular_value(sec, lam) for sec, lam in calls])
+        backward = np.array([smallest_singular_value(sec, lam) for sec, lam in reversed(calls)])
+        assert forward.tobytes() == backward[::-1].tobytes()
+        for (sec, lam), got in zip(calls, forward):
+            sv = np.linalg.svd(sec.entries - lam * np.eye(sec.order), compute_uv=False)
+            assert abs(got - sv[-1]) <= 1e-8 * sv[-1] + 4 * EPS * sv[0], (sec.order, sec.bands, lam)
+
     @pytest.mark.parametrize("lam", [0, 0.5, -2, 1 + 1j, 3e-5j, 5e-161, 1e-200j, 1e155, -1e300, 1.7e308 + 1.7e308j])
     def test_zero_symbol(self, lam):
         # no bands: A - lam I = -lam I, at every magnitude: unscaled, the

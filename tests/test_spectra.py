@@ -39,6 +39,25 @@ class TestPseudospectrum:
         want = ts.smallest_singular_value(sec, lam)
         assert field.sigma_min[2, 1] == pytest.approx(want, rel=1e-8)
 
+    def test_one_traced_call_per_node(self, monkeypatch):
+        # the benchmark traces spectra.smallest_singular_value once per node: a
+        # batch path around it would leave the trace without its sigma_min calls
+        sec = ts.bt_section(ts.HarmonicSymbol({1: 1, -1: 0.5}), 12)
+        calls = []
+
+        def spy(a, lam):
+            calls.append((a, lam, linalg.smallest_singular_value(a, lam)))
+            return calls[-1][2]
+
+        monkeypatch.setattr(spectra, "smallest_singular_value", spy)
+        field = ts.pseudospectrum(sec, ts.Rect(-1.5, 1.5, -1, 1), nx=4, ny=3)
+        assert len(calls) == 12 and all(a is sec for a, _, _ in calls)
+        got = {lam: value for _, lam, value in calls}
+        for q, im in enumerate(field.im_values()):
+            for p, re in enumerate(field.re_values()):
+                assert field.sigma_min[q, p].tobytes() == np.float64(got.pop(complex(re, im))).tobytes()
+        assert not got
+
     def test_empty_region_rejected(self):
         sec = ts.ht_section(ts.HarmonicSymbol({1: 1}), 3)
         with pytest.raises(ValueError):
