@@ -3,9 +3,11 @@
 Both functions take the matrix A as a ``FiniteSection``, and one rule,
 ``_shifted_bands``, builds every LAPACK input: the bands of A - lam I, lam
 subtracted once on the diagonal, real (float64) when no band has a nonzero
-imaginary part.  Real input runs the real routines (``dgeev``, ``dgbbrd``,
-``dgesdd``), so a real A has exact conjugate pairs of eigenvalues; any other
-runs the complex ones (``zgeev``, ``zgbbrd``, ``zgesdd``).  The eigenvalues
+imaginary part; it shares the section's other bands (or real views of them)
+and allocates only the shifted diagonal.  Real input runs the real routines
+(``dgeev``, ``dgbbrd``, ``dgesdd``), so a real A has exact conjugate pairs of
+eigenvalues; any other runs the complex ones (``zgeev``, ``zgbbrd``,
+``zgesdd``).  The eigenvalues
 come from ``np.linalg.eigvals`` on a dense matrix filled from the bands at
 lam = 0 for that call alone.  sigma_min(A - lam I) packs LAPACK band storage
 (kl, ku the extreme offsets): ``xGBBRD`` reduces the band to a real
@@ -49,8 +51,9 @@ from .sections import FiniteSection, _dense
 def _shifted_bands(section: FiniteSection, lam: complex = 0j) -> dict[int, np.ndarray]:
     """The bands of A - lam I, laid out as ``section.bands`` with offset 0 always
     present, all real when none has a nonzero imaginary part, else as stored."""
-    bands = {**section.bands, 0: section.bands.get(0, np.zeros(section.order)) - lam}
-    return bands if any(band.imag.any() for band in bands.values()) else {j: band.real for j, band in bands.items()}
+    bands = {**section.bands, 0: (section.bands[0] if 0 in section.bands else np.zeros(section.order)) - lam}
+    real = not any(band.dtype.kind == "c" and band.imag.any() for band in bands.values())
+    return {j: band.real for j, band in bands.items()} if real else bands
 
 
 @dataclass(frozen=True)

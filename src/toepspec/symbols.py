@@ -2,11 +2,11 @@
 
 A symbol is stored through its Fourier coefficients b_j, j in [-m, n]:
 b_j = f_j for j >= 1, b_{-j} = conj(g_j) for j >= 1, and b_0 = f_0 + conj(g_0).
-phi, dphi/dtheta and the harmonic extension are one sum, sum_j w(j) b_j
-e^{ij theta}, taken over an array of angles at once.  The module also provides
-the sampled boundary curve gamma = phi(T), whose points and tangents come from
-one such pass, together with winding numbers and geometric (Jordan / cusp)
-diagnostics.
+phi and dphi/dtheta are one pass, sum_j b_j e^{ij theta} and sum_j (ij) b_j
+e^{ij theta} over an array of angles at once, and the harmonic extension is
+the phi of that pass on the coefficients r^{|j|} b_j.  The module also provides
+the sampled boundary curve gamma = phi(T), whose points and tangents are one
+such pair, together with winding numbers and geometric (Jordan / cusp) diagnostics.
 """
 
 from __future__ import annotations
@@ -88,7 +88,7 @@ class HarmonicSymbol:
     def eval_boundary(self, theta: float | np.ndarray) -> complex | np.ndarray:
         """Boundary value sum_j b_j e^{ij theta} at one angle (gives a
         complex) or a 1-D array of angles (gives an array)."""
-        return _fourier_sums(self, theta)[0]
+        return _fourier_sums(self.coeffs, theta)[0]
 
     def eval_disk(self, z: complex) -> complex:
         """Harmonic extension at |z| < 1: sum_j b_j r^{|j|} e^{ij theta}."""
@@ -97,12 +97,12 @@ class HarmonicSymbol:
         if not r < 1.0:  # a NaN modulus too
             raise ValueError(f"eval_disk requires |z| < 1, got |z| = {r}")
         theta = cmath.phase(z) if r > 0 else 0.0
-        return _fourier_sums(self, theta, (lambda j: r ** abs(j),))[0]
+        return _fourier_sums({j: r ** abs(j) * b for j, b in self.coeffs.items()}, theta)[0]
 
     def boundary_tangent(self, theta: float | np.ndarray) -> complex | np.ndarray:
         """d phi / d theta = sum_j (ij) b_j e^{ij theta}; ``theta`` as in
         ``eval_boundary``."""
-        return _fourier_sums(self, theta, (_tangent_weight,))[0]
+        return _fourier_sums(self.coeffs, theta)[1]
 
     def derivative_norm_sq(self) -> float:
         """||phi'||_2^2 = sum_l l^2 |b_l|^2 (probability Haar measure)."""
@@ -129,28 +129,22 @@ def from_parts(f_coeffs: Sequence[complex], g_coeffs: Sequence[complex]) -> Harm
     return HarmonicSymbol(coeffs)
 
 
-def _tangent_weight(j: int) -> complex:
-    """Weight ij of b_j in d phi / d theta."""
-    return 1j * j
-
-
-def _fourier_sums(s: HarmonicSymbol, theta, weights=(None,)) -> tuple:
-    """sum_j w(j) b_j e^{ij theta}, j increasing, for each w in ``weights`` (w = 1
-    for None), all from one cos(j theta), sin(j theta) per j; at one finite angle
-    (each sum a complex) or an array of them (each an array); else ValueError.
-    Each term is multiplied out in real arithmetic, as CPython multiplies
-    complex numbers (numpy's complex multiply may fuse multiply-adds), so it
-    rounds as a scalar ``cmath`` sum wherever np.cos and np.sin round as libm."""
+def _fourier_sums(coeffs: Mapping[int, complex], theta) -> tuple:
+    """(phi, dphi/dtheta) = (sum_j b_j e^{ij theta}, sum_j (ij) b_j e^{ij theta}) for ``coeffs``
+    j -> b_j, j increasing, from one cos(j theta), sin(j theta) per j; at one finite angle (each
+    a complex) or an array of them (each an array); else ValueError.  Each term is multiplied out
+    in real arithmetic, as CPython multiplies complex numbers (numpy's complex multiply may fuse
+    multiply-adds), so it rounds as a scalar ``cmath`` sum wherever np.cos and np.sin round as libm."""
     t = np.atleast_1d(np.asarray(theta, dtype=float))
     if not np.isfinite(t).all():
         raise ValueError("theta must be finite")
-    sums = [(np.zeros(t.shape), np.zeros(t.shape)) for _ in weights]
-    for j in sorted(s.coeffs):
+    sums = [(np.zeros(t.shape), np.zeros(t.shape))] * 2
+    for j in sorted(coeffs):
         cos, sin = np.cos(j * t), np.sin(j * t)
-        for i, weight in enumerate(weights):
-            w = s.coeffs[j] if weight is None else weight(j) * s.coeffs[j]
-            re, im = sums[i]
-            sums[i] = re + (w.real * cos - w.imag * sin), im + (w.real * sin + w.imag * cos)
+        sums = [
+            (re + (w.real * cos - w.imag * sin), im + (w.real * sin + w.imag * cos))
+            for (re, im), w in zip(sums, (coeffs[j], 1j * j * coeffs[j]))
+        ]
     outs = []
     for re, im in sums:
         out = re.astype(complex)
@@ -335,7 +329,7 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
     M = max(256, min_m) if M is None else int(M)
     if M < min_m:
         raise ValueError(f"M = {M} too small; need M >= {min_m}")
-    points, tangents = _fourier_sums(s, _angles(M), (None, _tangent_weight))
+    points, tangents = _fourier_sums(s.coeffs, _angles(M))
     return SymbolCurve(points=points, tangents=tangents)
 
 

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from toepspec import cli
+from toepspec.sections import SeriesResult
 
 
 @pytest.fixture(scope="session")
@@ -328,6 +329,27 @@ class TestExitCodes:
         code = cli.main(["pseudospectrum", "--config", path, "--out", str(tmp_path)])
         assert code == cli.EXIT_USAGE
 
+    def test_config_root_not_an_object(self, tmp_path, capsys):
+        path = tmp_path / "config.json"
+        path.write_text("[]")
+        assert cli.main(["hs-check", "--config", str(path)]) == cli.EXIT_USAGE
+        assert capsys.readouterr().err == "config error: config root must be a JSON object\n"
+
+    def test_integer_beyond_the_doubles(self, tmp_path, capsys):
+        # math.isfinite raises OverflowError on 10**400, which _is_finite reads as not finite
+        path = write_config(tmp_path, {"symbol": {"f": [[10**400, 0]]}})
+        assert cli.main(["hs-check", "--config", path]) == cli.EXIT_USAGE
+        assert "field 'symbol.f[0]' must be an [re, im] pair of finite numbers" in capsys.readouterr().err
+
+    def test_output_dir_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        path = write_config(tmp_path, dict(BASE, output_dir=str(taken)))
+        assert cli.main(["curve", "--config", path]) == cli.EXIT_IO
+        err = capsys.readouterr().err
+        assert err.startswith("i/o error: ") and err.count("\n") == 1
+        assert taken.read_text() == ""
+
 
 class TestHSCheck:
     def test_pass(self, tmp_path, capsys):
@@ -336,6 +358,16 @@ class TestHSCheck:
         out = capsys.readouterr().out
         assert "bound check: PASS" in out
         assert "hs_series" in out and "hs_bound" in out
+
+    def test_fail(self, tmp_path, capsys, monkeypatch):
+        # a series above hs_bound + series_tol: the gate can fail
+        def above(s, tol):
+            return SeriesResult(value=cli.hs_bound(s) + 1.0, tail_bound=0.0)
+
+        monkeypatch.setattr(cli, "hs_difference_sq_series", above)
+        path = write_config(tmp_path, BASE)
+        assert cli.main(["hs-check", "--config", path]) == cli.EXIT_BOUND_VIOLATION
+        assert capsys.readouterr().out.endswith("bound check: FAIL\n")
 
 
 class TestSpectrum:

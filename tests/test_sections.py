@@ -156,6 +156,10 @@ class TestHSDifference:
         )
         assert got == pytest.approx(want, rel=1e-14)
 
+    def test_truncated_bad_order(self):
+        with pytest.raises(ValueError, match="section order must be >= 1"):
+            ts.hs_difference_sq_truncated(ts.HarmonicSymbol({1: 1}), 0)
+
     def test_truncated_equals_frobenius_gap(self):
         s = ts.HarmonicSymbol({2: 0.7, -1: 0.4j, 0: 1})
         n = 40

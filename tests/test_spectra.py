@@ -63,6 +63,12 @@ class TestPseudospectrum:
         with pytest.raises(ValueError):
             ts.pseudospectrum(sec, ts.Rect(1, 0, 0, 1), 3, 3)
 
+    @pytest.mark.parametrize("nx,ny", [(1, 3), (3, 1)])
+    def test_grid_below_two_by_two_rejected(self, nx, ny):
+        sec = ts.ht_section(ts.HarmonicSymbol({1: 1}), 3)
+        with pytest.raises(ValueError, match="at least 2 x 2"):
+            ts.pseudospectrum(sec, ts.Rect(0, 1, 0, 1), nx, ny)
+
     @pytest.mark.parametrize(
         "region",
         [ts.Rect(-1e308, 1e308, -1, 1), ts.Rect(-1, 1, -1e308, 1e308), ts.Rect(0, float("nan"), 0, 1)],
@@ -280,6 +286,21 @@ class TestResolventFit:
         s = ts.HarmonicSymbol({1: 1})
         with pytest.raises(ValueError):
             ts.resolvent_growth_fit(s, [2.0, 3.0], N=50)
+
+    def test_rejects_points_at_one_distance(self):
+        s = ts.HarmonicSymbol({1: 1})
+        curve = ts.sample_curve(s)
+        pts = ts.points_at_distance(curve, [0.5] * 8)
+        with pytest.raises(ValueError, match="degenerate"):
+            ts.resolvent_growth_fit(s, pts, N=20, curve=curve)
+
+    def test_rejects_a_singular_section(self, monkeypatch):
+        monkeypatch.setattr(spectra, "smallest_singular_value", lambda a, z: 0.0)
+        s = ts.HarmonicSymbol({1: 1})
+        curve = ts.sample_curve(s)
+        pts = ts.points_at_distance(curve, np.linspace(0.1, 0.5, 8))
+        with pytest.raises(ValueError, match="singular section at sample point"):
+            ts.resolvent_growth_fit(s, pts, N=20, curve=curve)
 
     def test_sigma_min_never_builds_the_dense_matrix(self, monkeypatch):
         # the fit's 16 calls and an 8 x 6 grid read the bands, and the
