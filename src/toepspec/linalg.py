@@ -1,15 +1,13 @@
 """Linear algebra through LAPACK as shipped with NumPy.
 
-Both functions take the matrix A as a ``FiniteSection``, and one rule,
-``_shifted_bands``, builds every LAPACK input: the bands of A - lam I, lam
-subtracted once on the diagonal, real (float64) when no band has a nonzero
-imaginary part; it shares the section's other bands (or real views of them)
-and allocates only the shifted diagonal.  Real input runs the real routines
+Both functions take the matrix A as a ``FiniteSection``, and LAPACK precision
+follows the stored dtype, as in numpy: float64 bands run the real routines
 (``dgeev``, ``dgbbrd``, ``dgesdd``), so a real A has exact conjugate pairs of
-eigenvalues; any other runs the complex ones (``zgeev``, ``zgbbrd``,
-``zgesdd``).  The eigenvalues
-come from ``np.linalg.eigvals`` on a dense matrix filled from the bands at
-lam = 0 for that call alone.  sigma_min(A - lam I) packs LAPACK band storage
+eigenvalues, and a complex band, even one with no nonzero imaginary part, the
+complex ones (``zgeev``, ``zgbbrd``, ``zgesdd``).  ``np.linalg.eigvals`` gets
+a dense matrix filled from the bands; sigma_min gets ``_shifted_bands``, lam
+subtracted on the diagonal, which is made real when no nonzero imaginary part
+is left there (b_0 = i at lam = i).  sigma_min(A - lam I) packs band storage
 (kl, ku the extreme offsets): ``xGBBRD`` reduces the band to a real
 bidiagonal B (diagonal d, superdiagonal e), and ``DSTEBZ`` bisects for one
 eigenvalue of its Golub-Kahan tridiagonal, the 2N x 2N matrix with zero
@@ -48,12 +46,11 @@ import numpy as np
 from .sections import FiniteSection, _dense
 
 
-def _shifted_bands(section: FiniteSection, lam: complex = 0j) -> dict[int, np.ndarray]:
-    """The bands of A - lam I, laid out as ``section.bands`` with offset 0 always
-    present, all real when none has a nonzero imaginary part, else as stored."""
-    bands = {**section.bands, 0: (section.bands[0] if 0 in section.bands else np.zeros(section.order)) - lam}
-    real = not any(band.dtype.kind == "c" and band.imag.any() for band in bands.values())
-    return {j: band.real for j, band in bands.items()} if real else bands
+def _shifted_bands(section: FiniteSection, lam: complex) -> dict[int, np.ndarray]:
+    """The bands of A - lam I as ``section.bands``, offset 0 always present and
+    real when none of its imaginary parts is nonzero, the others as stored."""
+    diagonal = (section.bands[0] if 0 in section.bands else np.zeros(section.order)) - lam
+    return {**section.bands, 0: diagonal if diagonal.imag.any() else diagonal.real}
 
 
 @dataclass(frozen=True)
@@ -74,13 +71,13 @@ class EigenResult:
 
 def eigenvalues(section: FiniteSection) -> EigenResult:
     """All eigenvalues of the section via LAPACK (``np.linalg.eigvals``), on a
-    dense matrix filled from ``_shifted_bands`` at lam = 0.
+    dense matrix filled from ``section.bands`` in their common dtype.
 
     LAPACK non-convergence is reported through ``converged=False`` with no
     values, never an exception.
     """
     try:
-        values = np.linalg.eigvals(_dense(section.order, _shifted_bands(section)))
+        values = np.linalg.eigvals(_dense(section.order, section.bands))
     except np.linalg.LinAlgError:
         return EigenResult(values=np.empty(0), converged=False, sweeps=0)
     return EigenResult(values=values, converged=True, sweeps=0)
@@ -175,7 +172,7 @@ def _dense_sigma_min(section: FiniteSection, lam: complex) -> float:
 
 
 def smallest_singular_value(section: FiniteSection, lam: complex = 0j) -> float:
-    """sigma_min(A - lam I) of the section A, in real arithmetic when it is real.
+    """sigma_min(A - lam I) of the section A, in the arithmetic of ``_shifted_bands``.
 
     From the band routines (see the module docstring) when they are found,
     else ``_dense_sigma_min``; a non-finite lam raises ValueError before either.

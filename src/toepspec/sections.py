@@ -74,6 +74,8 @@ def _section(s: HarmonicSymbol, N: int, bt: bool) -> FiniteSection:
     bands = {}
     for j, v in s.coeffs.items():
         if abs(j) < N:
+            # float64 when b_j's imaginary part is +0.0; a -0.0 stays complex, so entries keeps it
+            v = v.real if v.imag == 0 and math.copysign(1.0, v.imag) > 0 else v
             # np.full keeps the bits of v: np.ones(...) * v turns an imaginary -0.0 into +0.0
             bands[j] = _bt_weights(N, abs(j)) * v if bt else np.full(N - abs(j), v)
     return FiniteSection(order=N, bands=bands)

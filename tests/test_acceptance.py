@@ -10,8 +10,10 @@ import time
 from contextlib import contextmanager
 
 import numpy as np
+import pytest
 
 import toepspec as ts
+from toepspec import sections
 from toepspec.spectra import _chain_ladder, _resolve_options
 from conftest import ACCEPTANCE_LOG
 from oracles import as_section, charpoly_roots, match_distance, random_symbol
@@ -35,6 +37,23 @@ def criterion(number, title, budget_s):
 def _record(line):
     ACCEPTANCE_LOG.append(line)
     print(f"\n{line}")
+
+
+def _fails(test, number, capsys):
+    """Run the acceptance ``test`` under a monkeypatched defect: its own check
+    must raise, and its gate must log FAIL.  ACCEPTANCE_LOG is restored and the
+    printed line is swallowed, so neither the summary nor a ``-s`` log shows a
+    FAIL line from a mutation."""
+    saved = list(ACCEPTANCE_LOG)
+    try:
+        with pytest.raises(AssertionError) as caught:
+            test()
+        assert "budget" not in str(caught.value)
+        line = ACCEPTANCE_LOG[-1]
+        assert line.startswith(f"ACCEPTANCE {number} (") and line.endswith(": FAIL")
+        assert capsys.readouterr().out == f"\n{line}\n"
+    finally:
+        ACCEPTANCE_LOG[:] = saved
 
 
 def test_criterion_1_hs_bound():
@@ -70,6 +89,16 @@ def test_criterion_2_bt_entry_formula():
                     w = math.sqrt((min(i, j) + 1) / (max(i, j) + 1))
                     want = w * s.coeffs.get(i - j, 0)
                     assert abs(a[i, j] - want) <= 1e-15 * (1 + abs(want))
+
+
+def test_criterion_2_fails_for_weights_off_by_one(monkeypatch, capsys):
+    # sqrt((k + 1) / (k + L + 1)) along offset +-L, where sqrt(k / (k + L)) is right
+    def off_by_one(N, L):
+        k = np.arange(2, N - L + 2, dtype=float)
+        return np.sqrt(k / (k + L))
+
+    monkeypatch.setattr(sections, "_bt_weights", off_by_one)
+    _fails(test_criterion_2_bt_entry_formula, 2, capsys)
 
 
 def test_criterion_3_eigensolver_vs_charpoly():
@@ -119,6 +148,13 @@ def test_criterion_5_sigma_min_majorization():
                 lam = complex(rng.standard_normal(), rng.standard_normal())
                 sig = ts.smallest_singular_value(as_section(a), lam)
                 assert sig <= np.min(np.abs(eigs - lam)) + 1e-8
+
+
+def test_criterion_5_fails_for_sigma_min_times_1_1(monkeypatch, capsys):
+    # 23 of the criterion's 1000 nodes then exceed their distance to the spectrum
+    sigma_min = ts.smallest_singular_value
+    monkeypatch.setattr(ts, "smallest_singular_value", lambda section, lam: 1.1 * sigma_min(section, lam))
+    _fails(test_criterion_5_sigma_min_majorization, 5, capsys)
 
 
 def test_criterion_6_resolvent_growth_exponent():

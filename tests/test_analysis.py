@@ -1,7 +1,7 @@
 import json
 import math
 import re
-from dataclasses import fields
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -246,6 +246,18 @@ class TestReport:
     def test_deterministic(self, report):
         again = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=SMALL_LADDER))
         assert again.to_json() == report.to_json()
+
+    @pytest.mark.parametrize("error", [ValueError, OverflowError])
+    def test_failed_fit_leaves_the_rest_of_the_report(self, report, monkeypatch, error):
+        # a fit that raises ValueError or an ArithmeticError gives p_hat = c_hat = None;
+        # a LinAlgError propagates (tests/test_cli.py::test_svd_failure_in_resolvent_fit)
+        def fit(*args, **kwargs):
+            raise error("fit failed")
+
+        monkeypatch.setattr(analysis, "resolvent_growth_fit", fit)
+        rep = ts.build_report(ts.HarmonicSymbol({2: 1, -1: 0.8}), ts.ReportOptions(ladder=SMALL_LADDER))
+        assert report.p_hat is not None and report.c_hat is not None
+        assert rep == replace(report, p_hat=None, c_hat=None)
 
     def test_each_point_set_classified_once(self, monkeypatch):
         # the chain ends and the centroid start of points_at_distance: one classify call

@@ -113,8 +113,8 @@ class TestSmallestSingularValue:
 
 
 class TestRealArithmetic:
-    """A real matrix (shifted by a real lam for sigma_min) runs the real LAPACK
-    drivers, whose eigenvalues come in exact conjugate pairs."""
+    """A section stored in float64 (shifted by a real lam for sigma_min) runs the
+    real LAPACK drivers, whose eigenvalues come in exact conjugate pairs."""
 
     @pytest.mark.parametrize("N", [50, 200])
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
@@ -180,6 +180,29 @@ class TestRealArithmetic:
         for sec, lam in (*exact, shifted):
             smallest_singular_value(sec, lam)
         assert seen == [("svd", np.float64), ("svd", np.complex128), ("svd", np.float64)]
+
+    def test_precision_follows_the_stored_dtype(self, monkeypatch):
+        # b_j with an imaginary part of +0.0 gets a float64 band; -0.0 keeps it complex
+        for s in REAL_SYMBOLS[:2]:
+            for build in (ts.bt_section, ts.ht_section):
+                assert {band.dtype for band in build(s, 30).bands.values()} == {np.dtype(float)}
+        assert ts.ht_section(ts.HarmonicSymbol({1: complex(0.5, -0.0)}), 30).bands[1].dtype == complex
+        seen, eigvals, routines = [], np.linalg.eigvals, linalg._lapack()
+        assert routines is not None, "no band routines found in numpy's LAPACK"
+
+        def spy(name):
+            return lambda *args: (seen.append(name), routines[name](*args))
+
+        monkeypatch.setattr(np.linalg, "eigvals", lambda a: (seen.append(("eigvals", a.dtype)), eigvals(a))[1])
+        monkeypatch.setattr(linalg, "_lapack", lambda: {name: spy(name) for name in routines})
+        # a hand-built section with complex bands and no nonzero imaginary part: the complex routines
+        hand = ts.FiniteSection(order=20, bands={0: np.full(20, 2 + 0j), 1: np.full(19, 1 + 0j)})
+        want = np.linalg.svd(np.asarray(hand) - 0.5 * np.eye(20), compute_uv=False)[-1]
+        assert smallest_singular_value(hand, 0.5) == pytest.approx(want, rel=1e-12)
+        eigenvalues(hand)
+        # b_0 = i at lam = i: A - lam I is real only after the shift
+        smallest_singular_value(ts.bt_section(ts.HarmonicSymbol({0: 1j, 1: 1, -1: 0.5}), 20), 1j)
+        assert seen == ["zgbbrd", "dstebz", ("eigvals", np.complex128), "dgbbrd", "dstebz"]
 
     @pytest.mark.parametrize("s", REAL_SYMBOLS)
     def test_real_shift_agrees_with_the_complex_path(self, s):

@@ -282,6 +282,14 @@ class TestResolventFit:
         assert 0.8 <= fit.p_hat <= 1.4
         assert fit.c_hat > 0
 
+    def test_default_curve_is_the_default_sample(self):
+        s = ts.HarmonicSymbol({2: 1, -1: 0.8})
+        curve = ts.sample_curve(s)
+        pts = ts.points_at_distance(curve, np.linspace(0.1, 0.5, 10) * s.wiener_norm())
+        given = ts.resolvent_growth_fit(s, pts, N=60, curve=curve)
+        default = ts.resolvent_growth_fit(s, pts, N=60)
+        assert (default.p_hat.hex(), default.c_hat.hex()) == (given.p_hat.hex(), given.c_hat.hex())
+
     def test_requires_enough_points(self):
         s = ts.HarmonicSymbol({1: 1})
         with pytest.raises(ValueError):
