@@ -49,11 +49,11 @@ from .symbols import (
 
 def dist_to_spectrum(lam: complex | np.ndarray, c: SymbolCurve) -> float | np.ndarray:
     """Distance to the filled Hardy spectrum, as the Weyl fraction uses it: by
-    ``SymbolCurve.locate``, zero on the curve or at nonzero winding, the
-    polyline distance otherwise.  ``lam`` is one finite point (gives a float)
-    or a 1-D array of them (gives an array), in PAIR_BUDGET-pair blocks."""
-    d, on, windings = c.locate(lam)
-    d = np.where(on | (windings[:, -1] != 0), 0.0, d)
+    ``SymbolCurve.locate``, zero on the curve or at a nonzero ``winding``, the
+    polyline ``distance`` otherwise.  ``lam`` is one finite point (gives a
+    float) or a 1-D array of them (gives an array), in PAIR_BUDGET-pair blocks."""
+    d, on, _, winding = c.locate(lam)
+    d = np.where(on | (winding != 0), 0.0, d)
     return float(d[0]) if np.ndim(lam) == 0 else d
 
 

@@ -215,16 +215,11 @@ def detect_discrete(
 def classify(lam: complex | np.ndarray, curve: SymbolCurve, delta_curve: float) -> Component | list[Component]:
     """Classify ``lam``, one point (gives a ``Component``) or a 1-D array (gives a list), by its
     ``SymbolCurve.locate`` record: nearEssential within delta_curve of the curve or on it (where
-    winding is undefined); else F0, the unbounded component, if ``_in_f0``; boundedHole else."""
-    d, on, windings = curve.locate(lam)
-    near, f0 = (d < delta_curve) | on, _in_f0(on, windings)
+    winding is undefined); else F0, the unbounded component, where ``in_f0``; boundedHole else."""
+    d, on, f0, _ = curve.locate(lam)
+    near = (d < delta_curve) | on
     comps = [Component.NEAR_ESSENTIAL if n else Component.F0 if f else Component.BOUNDED_HOLE for n, f in zip(near, f0)]
     return comps[0] if np.ndim(lam) == 0 else comps
-
-
-def _in_f0(on: np.ndarray, windings: np.ndarray) -> np.ndarray:
-    """The F0 rule on a ``SymbolCurve.locate`` record: off the curve, with every winding 0."""
-    return ~on & ~np.any(windings, axis=1)
 
 
 @dataclass(frozen=True)
@@ -243,8 +238,8 @@ def resolvent_growth_fit(
 
     ``||R(z)||`` is approximated by 1 / sigma_min(A_N - z) on the
     Hardy-Toeplitz section, and dist(z, spectrum) by the curve distance,
-    which it equals in F0; one ``SymbolCurve.locate`` gives both.  A sample
-    that ``_in_f0`` puts outside F0 raises ValueError, before any sigma_min.
+    which it equals in F0; one ``SymbolCurve.locate`` gives both, its ``distance``
+    and ``in_f0``.  A sample outside F0 raises ValueError, before any sigma_min.
     """
     pts = [complex(z) for z in sample_points]
     if len(pts) < 8:
@@ -252,8 +247,8 @@ def resolvent_growth_fit(
     if curve is None:
         curve = sample_curve(s)
     section = ht_section(s, N)
-    d, on, windings = curve.locate(np.array(pts))
-    for z, f0 in zip(pts, _in_f0(on, windings)):
+    d, _, in_f0, _ = curve.locate(np.array(pts))
+    for z, f0 in zip(pts, in_f0):
         if not f0:
             raise ValueError(f"sample point {z} is not in the outer component F0")
     sig = [smallest_singular_value(section, z) for z in pts]

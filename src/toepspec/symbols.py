@@ -221,12 +221,14 @@ class SymbolCurve:
         )
         return float(d[0]) if np.ndim(lam) == 0 else d
 
-    def locate(self, lam: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Per point of ``lam``, one finite point or a 1-D array: its ``distance_to``, whether it is
-        on the curve (within ON_CURVE_RTOL * scale, the one such test), its ``_loop_windings`` row."""
+    def locate(self, lam: complex | np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """(distance, on_curve, in_f0, winding), arrays, per point of ``lam`` (one finite point or a 1-D
+        array): its ``distance_to``; within ON_CURVE_RTOL * scale (the one on-curve test); in F0, off the
+        curve with every ``_loop_windings`` column 0 (the one F0 rule); the whole curve's winding, 0 on it."""
         d = self.distance_to(np.atleast_1d(lam))
         on = d <= ON_CURVE_RTOL * self.scale()
-        return d, on, _loop_windings(self, lam, ~on)
+        windings = _loop_windings(self, lam, ~on)
+        return d, on, ~on & ~windings.any(axis=1), windings[:, -1]
 
     def last_exits(self, start: complex, rays: np.ndarray) -> np.ndarray:
         """Per ray v, the largest t with start + t v / |v| within |v| of the polyline, or -inf: the
@@ -334,12 +336,12 @@ def sample_curve(s: HarmonicSymbol, M: int | None = None) -> SymbolCurve:
 
 
 def winding_number(c: SymbolCurve, lam: complex) -> int:
-    """Winding of the sampled polyline around ``lam``, the last column of its ``SymbolCurve.locate``
-    row; exact for the polyline.  Raises OnCurveError when ``locate`` puts ``lam`` on the curve."""
-    _, on, windings = c.locate(complex(lam))
+    """Winding of the sampled polyline around ``lam``, the ``winding`` of its ``SymbolCurve.locate``
+    record; exact for the polyline.  Raises OnCurveError when ``locate`` puts ``lam`` on the curve."""
+    _, on, _, winding = c.locate(complex(lam))
     if on[0]:
         raise OnCurveError(f"point {complex(lam)} lies on the sampled curve")
-    return int(windings[0, -1])
+    return int(winding[0])
 
 
 @dataclass(frozen=True)

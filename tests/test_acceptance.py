@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 import toepspec as ts
-from toepspec import sections
+from toepspec import analysis, sections, symbols
 from toepspec.spectra import _chain_ladder, _resolve_options
 from conftest import ACCEPTANCE_LOG
 from oracles import as_section, charpoly_roots, match_distance, random_symbol
@@ -101,6 +101,17 @@ def test_criterion_2_fails_for_weights_off_by_one(monkeypatch, capsys):
     _fails(test_criterion_2_bt_entry_formula, 2, capsys)
 
 
+def _eigenvalues_mapped(fn):
+    """``ts.eigenvalues`` with its values replaced by ``fn(values)``."""
+    eigenvalues = ts.eigenvalues
+
+    def mapped(section):
+        res = eigenvalues(section)
+        return ts.EigenResult(fn(res.values), res.converged, res.sweeps)
+
+    return mapped
+
+
 def test_criterion_3_eigensolver_vs_charpoly():
     # Dense QR eigenvalues against characteristic-polynomial roots obtained
     # by an independent extended-precision trace recursion.
@@ -113,6 +124,12 @@ def test_criterion_3_eigensolver_vs_charpoly():
             assert match_distance(res.values, charpoly_roots(a)) <= 1e-7
             norm = np.linalg.norm(a)
             assert abs(np.sum(res.values) - np.trace(a)) <= 1e-9 * n * norm
+
+
+def test_criterion_3_fails_for_eigenvalues_moved_by_1e_6(monkeypatch, capsys):
+    # ten times the criterion's 1e-7 match to the characteristic-polynomial roots
+    monkeypatch.setattr(ts, "eigenvalues", _eigenvalues_mapped(lambda v: v + 1e-6))
+    _fails(test_criterion_3_eigensolver_vs_charpoly, 3, capsys)
 
 
 def test_criterion_4_tridiagonal_closed_form():
@@ -133,6 +150,12 @@ def test_criterion_4_tridiagonal_closed_form():
         k = np.arange(1, n + 1)
         closed = 2 * sq * np.cos(k * np.pi / (n + 1))
         assert match_distance(res.values, closed) <= 1e-8
+
+
+def test_criterion_4_fails_for_eigenvalues_moved_by_1e_7(monkeypatch, capsys):
+    # ten times the criterion's 1e-8 match to the closed form
+    monkeypatch.setattr(ts, "eigenvalues", _eigenvalues_mapped(lambda v: v + 1e-7))
+    _fails(test_criterion_4_tridiagonal_closed_form, 4, capsys)
 
 
 def test_criterion_5_sigma_min_majorization():
@@ -263,6 +286,12 @@ def test_criterion_8_weyl_diagnostic():
             assert frac >= 0.95, (coeffs, frac)
 
 
+def test_criterion_8_fails_for_eigenvalues_times_3(monkeypatch, capsys):
+    # the constant symbol's eigenvalues, all 2 + i, move to 6 + 3i, 4.5 from its spectrum
+    monkeypatch.setattr(analysis, "eigenvalues", _eigenvalues_mapped(lambda v: 3 * v))
+    _fails(test_criterion_8_weyl_diagnostic, 8, capsys)
+
+
 def test_criterion_9_curve_geometry():
     # Jordan/cusp flags for segment and ellipse symbols plus reference
     # winding numbers.
@@ -278,3 +307,10 @@ def test_criterion_9_curve_geometry():
         assert ts.winding_number(ellipse_curve, 2 + 2j) == 0
         double = ts.sample_curve(ts.HarmonicSymbol({2: 1}), 512)
         assert ts.winding_number(double, 0) == 2
+
+
+def test_criterion_9_fails_for_turns_negated(monkeypatch, capsys):
+    # every winding changes sign: the ellipse winds -1 times around 0
+    turns = symbols._turns
+    monkeypatch.setattr(symbols, "_turns", lambda z, a, b: -turns(z, a, b))
+    _fails(test_criterion_9_curve_geometry, 9, capsys)

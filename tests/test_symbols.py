@@ -56,6 +56,24 @@ class TestFromParts:
         assert s.is_zero and s.m == 0 and s.n == 0
 
 
+class TestGetItem:
+    def test_present_coefficient(self):
+        s = ts.HarmonicSymbol({2: 1 - 0.5j, -1: 0.8})
+        assert s[2] == 1 - 0.5j and s[-1] == 0.8
+
+    @pytest.mark.parametrize("j", [0, 1, -2, 3, 10**6])
+    def test_absent_coefficient_reads_zero(self, j):
+        v = ts.HarmonicSymbol({2: 1 - 0.5j, -1: 0.8})[j]
+        assert v == 0 and type(v) is complex
+
+    def test_underflowing_coefficient_reads_zero(self):
+        # |b_1|^2 is subnormal below 1.5e-154, so b_1 is dropped like an exact zero
+        s = ts.HarmonicSymbol({1: 1e-155, -1: 1e-155j, 2: 1.0})
+        assert s[1] == 0 and s[-1] == 0 and s[2] == 1
+        assert s.coeffs == {2: 1} and s.m == 0 and s.n == 2
+        assert ts.HarmonicSymbol({1: 1.5e-154})[1] == 1.5e-154
+
+
 class TestEvalBoundary:
     def test_zero_symbol(self):
         assert ts.HarmonicSymbol({}).eval_boundary(1.234) == 0
@@ -561,10 +579,11 @@ class TestLoopWindings:
                 checked.append(z)
         assert len(checked) >= 8 * len(loops) > 0
         # no RuntimeWarning (an error under pytest) from a turn about a vertex
-        d, on, windings = c.locate(np.array([a[5], (a[9] + b[9]) / 2, *checked]))
+        d, on, in_f0, winding = c.locate(np.array([a[5], (a[9] + b[9]) / 2, *checked]))
         assert d[0] == 0 and on[:2].all() and not on[2:].any()
-        assert (windings[:2] == 0).all()
-        assert np.array_equal(windings[2:], _loop_windings(c, np.array(checked)))
+        assert not in_f0[:2].any() and (winding[:2] == 0).all()
+        rows = _loop_windings(c, np.array(checked))
+        assert np.array_equal(in_f0[2:], ~rows.any(axis=1)) and np.array_equal(winding[2:], rows[:, -1])
 
     def test_bow_tie(self):
         # segments 0 and 2 cross at 1 + 1j; the loop from there is the right
